@@ -122,6 +122,20 @@ def direct_sum(blocks: Iterable[BoolMatrix]) -> BoolMatrix:
     return out
 
 
+def chain_adjacency(blocks: Iterable[BoolMatrix], first: int) -> BoolMatrix:
+    """Square adjacency matrix of a chain of level blocks on its super-diagonal.
+
+    Block t joins level t to level t + 1 and ``first`` is the size of
+    level 0.  The result is ``direct_sum(blocks)`` shifted right by
+    ``first`` columns: rows of all but the last level, columns of all but
+    the first.
+    """
+    s = direct_sum(blocks)
+    out = np.zeros((first + s.shape[1],) * 2, dtype=bool)
+    out[: s.shape[0], first:] = s
+    return out
+
+
 def int_matrix(rows: Sequence[Sequence[int]] | np.ndarray) -> IntMatrix:
     """Coerce to a 2-d counting matrix of exact Python integers."""
     a = np.asarray(rows)

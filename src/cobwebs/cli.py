@@ -6,8 +6,9 @@ run Ferrers and dimension-2 checks, and decompose n-ary relations into
 binary chains.  Exit status 0 on success, 1 on domain errors (message on
 stderr), 2 on usage errors.
 
-The environment variable COBWEB_MAX_VERTICES (default 10000) caps the
-size of any constructed digraph.
+The environment variable COBWEB_MAX_VERTICES (a positive integer, default
+10000) caps the size of any constructed digraph; the cap is checked on
+the level sizes before any arc block is allocated.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import boolmat, cobweb, digraph, ferrers, njoin
 from .fseq import FSequence
@@ -33,18 +34,36 @@ def _max_vertices() -> int:
     if raw is None:
         return DEFAULT_MAX_VERTICES
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        raise DomainError(f"COBWEB_MAX_VERTICES is not an integer: {raw!r}")
+        cap = 0
+    if cap < 1:
+        raise DomainError(f"COBWEB_MAX_VERTICES must be a positive integer, got {raw!r}")
+    return cap
 
 
-def _check_size(levels: Sequence[int]) -> None:
+def _check_size(levels: Iterable[int]) -> list[int]:
+    """The level sizes as a list; stops reading them once the cap is passed."""
     cap = _max_vertices()
-    total = sum(levels)
-    if total > cap:
-        raise DomainError(
-            f"construction of {total} vertices exceeds COBWEB_MAX_VERTICES={cap}"
-        )
+    sizes: list[int] = []
+    total = 0
+    for s in levels:
+        total += s
+        if total > cap:
+            raise DomainError(
+                f"construction of at least {total} vertices exceeds COBWEB_MAX_VERTICES={cap}"
+            )
+        sizes.append(s)
+    return sizes
+
+
+def _sizes(seq: FSequence, levels: Optional[int]) -> list[int]:
+    """Level sizes for --seq/--levels, checked against the cap as they are made."""
+    try:
+        sizes = cobweb.cobweb_sizes(seq, levels)
+    except ValueError as exc:
+        raise DomainError(f"--levels: {exc}")
+    return _check_size(sizes)
 
 
 def _load_json(path: str) -> dict:
@@ -73,21 +92,7 @@ def _resolve_digraph(args: argparse.Namespace) -> digraph.GradedDigraph:
 def _build_cobweb(args: argparse.Namespace) -> cobweb.CobwebPoset:
     if not args.seq:
         raise DomainError("either --seq or --from is required")
-    seq = FSequence.parse(args.seq)
-    if seq.kind == "explicit":
-        sizes = list(seq.values)
-        if args.levels is not None and args.levels != len(sizes):
-            raise DomainError(
-                f"--levels {args.levels} disagrees with {len(sizes)} explicit sizes"
-            )
-    else:
-        if args.levels is None:
-            raise DomainError(f"--levels is required with --seq {args.seq}")
-        from .fseq import level_sizes
-
-        sizes = level_sizes(seq, args.levels)
-    _check_size(sizes)
-    return cobweb.build_cobweb(sizes)
+    return cobweb.build_cobweb(_sizes(FSequence.parse(args.seq), args.levels))
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -203,10 +208,9 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_fibtree(args) -> int:
-    if args.levels is None:
-        raise DomainError("--levels is required for fibtree")
+    # the tree's level sizes are the Fibonacci numbers: check the cap first
+    _sizes(FSequence.fibonacci(), args.levels)
     d = cobweb.fibonacci_tree(args.levels)
-    _check_size(d.levels)
     if args.format == "dot":
         _emit(digraph.to_dot(d, rank_by_level=True), args.out)
     elif args.format == "text":

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .boolmat import BoolMatrix, closure_series, int_matrix, int_power, ones_matrix
+from .boolmat import BoolMatrix, closure_series, ones_matrix
 from .digraph import GradedDigraph, global_adjacency, transitive_closure
-from .fseq import FSequence, level_sizes
+from .fseq import FSequence, level_size, level_sizes  # noqa: F401  (kept importable)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,20 +77,27 @@ class Realizer:
             raise ValueError("each order must permute the vertices 1..n")
 
 
-def build_cobweb(f: FSequence | Iterable[int], n: Optional[int] = None) -> CobwebPoset:
-    """Build the cobweb poset with levels sized by f.
+def cobweb_sizes(f: FSequence | Iterable[int], n: Optional[int] = None) -> Iterator[int]:
+    """Level sizes for ``build_cobweb(f, n)``, produced lazily.
 
-    ``f`` is either a sequence object (then ``n`` picks how many levels)
-    or an explicit list of level sizes.
+    ``f`` is a sequence object (then ``n`` picks how many levels) or a
+    list of sizes; an explicit sequence counts as its list.  A bad ``n``
+    raises at the call, so a caller capping the total can stop reading
+    at the cap.
     """
-    if isinstance(f, FSequence):
+    if isinstance(f, FSequence) and f.kind != "explicit":
         if n is None:
-            raise ValueError("level count n is required with a sequence object")
-        sizes = level_sizes(f, n)
-    else:
-        sizes = [int(s) for s in f]
-        if n is not None and n != len(sizes):
-            raise ValueError(f"n={n} disagrees with {len(sizes)} explicit sizes")
+            raise ValueError(f"a level count is required with sequence {f.kind!r}")
+        return (level_size(f, k) for k in range(n))
+    sizes = [int(s) for s in (f.values if isinstance(f, FSequence) else f)]
+    if n is not None and n != len(sizes):
+        raise ValueError(f"level count {n} disagrees with {len(sizes)} explicit sizes")
+    return iter(sizes)
+
+
+def build_cobweb(f: FSequence | Iterable[int], n: Optional[int] = None) -> CobwebPoset:
+    """Build the cobweb poset with levels sized by f (see ``cobweb_sizes``)."""
+    sizes = list(cobweb_sizes(f, n))
     if not sizes:
         raise ValueError("at least one level is required")
     if any(s < 1 for s in sizes):
@@ -113,24 +120,9 @@ def zeta_matrix(p: CobwebPoset) -> BoolMatrix:
 
 def leq(p: CobwebPoset, x: int, y: int) -> bool:
     """Order query on global 1-based vertex indices."""
-    n = p.n_vertices
-    if not 1 <= x <= n:
-        raise ValueError(f"vertex {x} out of range 1..{n}")
-    if not 1 <= y <= n:
-        raise ValueError(f"vertex {y} out of range 1..{n}")
+    p.hasse.locate(x)
+    p.hasse.locate(y)
     return bool(p.zeta[x - 1, y - 1])
-
-
-def _level_major_orders(levels: tuple[int, ...]) -> Realizer:
-    l1: list[int] = []
-    l2: list[int] = []
-    offset = 0
-    for size in levels:
-        block = list(range(offset + 1, offset + size + 1))
-        l1.extend(block)
-        l2.extend(reversed(block))
-        offset += size
-    return Realizer(tuple(l1), tuple(l2))
 
 
 def realizer(p: CobwebPoset | GradedDigraph) -> Realizer:
@@ -139,7 +131,9 @@ def realizer(p: CobwebPoset | GradedDigraph) -> Realizer:
     L1 is the level-major left-to-right order (the global numbering);
     L2 visits levels in the same order but right-to-left within each.
     """
-    return _level_major_orders(p.levels)
+    d = p.hasse if isinstance(p, CobwebPoset) else p
+    l2 = [v for off, s in zip(d.level_offsets, d.levels) for v in range(off + s, off, -1)]
+    return Realizer(tuple(range(1, d.n_vertices + 1)), tuple(l2))
 
 
 def verify_dim2(
@@ -176,20 +170,20 @@ def count_paths(p: CobwebPoset | GradedDigraph, x: int, y: int) -> int:
     """Number of directed Hasse paths from x to y (1-based vertices).
 
     Length-0 paths are excluded: comparable vertices of levels i < j are
-    joined by paths of the single length j - i, counted exactly via the
-    integer matrix power.  Returns 0 for x = y and for y not above x.
+    joined by paths of the single length j - i.  They are counted by
+    pushing the unit row vector of x through arc blocks i .. j-1 in exact
+    Python integers.  Returns 0 for x = y and for y not above x.
     """
     d = p.hasse if isinstance(p, CobwebPoset) else p
-    n = d.n_vertices
-    if not 1 <= x <= n:
-        raise ValueError(f"vertex {x} out of range 1..{n}")
-    if not 1 <= y <= n:
-        raise ValueError(f"vertex {y} out of range 1..{n}")
-    k = d.level_of(y) - d.level_of(x)
-    if x == y or k <= 0:
+    i, a = d.locate(x)
+    j, b = d.locate(y)
+    if j <= i:
         return 0
-    a = int_matrix(global_adjacency(d).astype(int))
-    return int(int_power(a, k)[x - 1, y - 1])
+    row = np.zeros(d.levels[i], dtype=object)
+    row[a] = 1
+    for block in d.blocks[i:j]:
+        row = row @ block.astype(object)
+    return int(row[b])
 
 
 def delete_arcs(
@@ -201,14 +195,11 @@ def delete_arcs(
     existing arc between consecutive levels.
     """
     blocks = [b.copy() for b in p.hasse.blocks]
-    offsets = p.hasse.level_offsets
     for u, v in removals:
-        ku = p.hasse.level_of(u)
-        kv = p.hasse.level_of(v)
+        ku, i = p.hasse.locate(u)
+        kv, j = p.hasse.locate(v)
         if kv != ku + 1:
             raise ValueError(f"({u}, {v}) is not an arc between consecutive levels")
-        i = u - 1 - offsets[ku]
-        j = v - 1 - offsets[kv]
         if not blocks[ku][i, j]:
             raise ValueError(f"arc ({u}, {v}) does not exist")
         blocks[ku][i, j] = False

@@ -6,6 +6,10 @@ Vertices carry a global 1-based index assigned level-major, left to right
 within a level; that numbering makes printed adjacency and zeta grids
 literal row/column indices.
 
+The square adjacency matrix is the direct sum of the arc blocks shifted
+right by the size of level 0; cut to the rows of the non-final levels and
+the columns of the non-initial ones it is that direct sum.
+
 The poset associated to a graded digraph is its reflexive-transitive
 closure; a digraph is transitive-irreducible (a Hasse diagram) when the
 transitive reduction leaves it unchanged.
@@ -13,12 +17,23 @@ transitive reduction leaves it unchanged.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterator
 
 import numpy as np
 
-from .boolmat import BoolMatrix, as_bool_matrix, bool_product, closure_series, identity
+from .boolmat import (
+    BoolMatrix,
+    as_bool_matrix,
+    bool_product,
+    chain_adjacency,
+    closure_series,
+    direct_sum,
+    identity,
+)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -68,25 +83,22 @@ class GradedDigraph:
     def n_vertices(self) -> int:
         return sum(self.levels)
 
-    @property
+    @cached_property
     def level_offsets(self) -> tuple[int, ...]:
         """0-based starting offset of each level in the global numbering."""
-        offsets = []
-        total = 0
-        for s in self.levels:
-            offsets.append(total)
-            total += s
-        return tuple(offsets)
+        return tuple(accumulate(self.levels, initial=0))[:-1]
+
+    def locate(self, v: int) -> tuple[int, int]:
+        """(level, 0-based position within that level) of global 1-based vertex v."""
+        n, offsets = self.n_vertices, self.level_offsets
+        if not 1 <= v <= n:
+            raise ValueError(f"vertex {v} out of range 1..{n}")
+        k = bisect_right(offsets, v - 1) - 1
+        return k, v - 1 - offsets[k]
 
     def level_of(self, v: int) -> int:
         """Level index of global 1-based vertex v."""
-        if not 1 <= v <= self.n_vertices:
-            raise ValueError(f"vertex {v} out of range 1..{self.n_vertices}")
-        i = v - 1
-        for k, off in enumerate(self.level_offsets):
-            if i < off + self.levels[k]:
-                return k
-        raise AssertionError("unreachable")
+        return self.locate(v)[0]
 
     def arcs(self) -> Iterator[tuple[int, int]]:
         """All arcs as global 1-based (source, target) pairs."""
@@ -129,34 +141,13 @@ class Poset:
 
 
 def global_adjacency(d: GradedDigraph) -> BoolMatrix:
-    """Assemble the square adjacency matrix from the per-level arc blocks.
-
-    Blocks land in the super-diagonal band, so the result is strictly
-    upper triangular.
-    """
-    n = d.n_vertices
-    out = np.zeros((n, n), dtype=bool)
-    offsets = d.level_offsets
-    for k, b in enumerate(d.blocks):
-        r, c = offsets[k], offsets[k + 1]
-        out[r : r + b.shape[0], c : c + b.shape[1]] = b
-    return out
+    """Square adjacency matrix, strictly upper triangular."""
+    return chain_adjacency(d.blocks, d.levels[0] if d.levels else 0)
 
 
 def chain_biadjacency(d: GradedDigraph) -> BoolMatrix:
-    """Reduced adjacency of the whole chain: diag of the arc blocks.
-
-    Rows range over all non-final levels, columns over all non-initial
-    ones, so block k sits on the block diagonal and the result equals the
-    direct sum of the per-level biadjacency blocks.
-    """
-    out = np.zeros((sum(d.levels[:-1]), sum(d.levels[1:])), dtype=bool)
-    r = c = 0
-    for b in d.blocks:
-        out[r : r + b.shape[0], c : c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
-    return out
+    """Reduced adjacency of the whole chain: non-final rows, non-initial columns."""
+    return direct_sum(d.blocks)
 
 
 def _strict_closure_checked(a: BoolMatrix) -> BoolMatrix:
@@ -229,9 +220,17 @@ def digraph_to_json(d: GradedDigraph) -> dict:
 
 
 def digraph_from_json(data: dict) -> GradedDigraph:
+    """Inverse of ``digraph_to_json``; the JSON shape is checked before numpy sees it."""
     try:
         levels = tuple(int(s) for s in data["levels"])
-        arcs = data["arcs"]
-    except (KeyError, TypeError) as exc:
+        arcs = list(data["arcs"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad digraph JSON: {exc}") from None
+    for k, b in enumerate(arcs):
+        if not isinstance(b, list) or not all(
+            isinstance(row, list) and all(x in (0, 1) for x in row) for row in b
+        ):
+            raise ValueError(f"bad digraph JSON: arc block {k} is not a list of 0/1 rows")
+        if len({len(row) for row in b}) > 1:
+            raise ValueError(f"bad digraph JSON: arc block {k} has rows of unequal length")
     return GradedDigraph(levels, tuple(as_bool_matrix(b) for b in arcs))

@@ -12,6 +12,10 @@ while the reduced composition projects the middle set away,
     [(k+m) x (k+m)]  compose  [(m+s) x (m+s)]  =  [(k+s) x (k+s)],
 
 its biadjacency block being the Boolean product of the operands' blocks.
+Every square form here follows one placement rule (``chain_adjacency``):
+the direct sum of the biadjacency blocks shifted right by the size of the
+first set, for one block, two, or a whole chain.
+
 Chains of binary relations joined this way encode n-ary relations; the
 reverse direction projects an n-ary relation onto its adjacent-column
 pairs, and a relation is faithfully encoded by that chain exactly when
@@ -26,8 +30,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .boolmat import BoolMatrix, as_bool_matrix, bool_product
-from .digraph import GradedDigraph, global_adjacency
+from .boolmat import BoolMatrix, as_bool_matrix, bool_product, chain_adjacency
+from .digraph import GradedDigraph, global_adjacency  # noqa: F401  (kept importable)
 
 
 @dataclass(frozen=True)
@@ -171,10 +175,7 @@ def embed_biadjacency(b: BoolMatrix, k: int | None = None, m: int | None = None)
         m = b.shape[1]
     if b.shape != (k, m):
         raise ValueError(f"biadjacency block is {b.shape}, expected ({k}, {m})")
-    n = k + m
-    mat = np.zeros((n, n), dtype=bool)
-    mat[:k, k:] = b
-    return AdjacencyMatrix(mat, k, m)
+    return AdjacencyMatrix(chain_adjacency([b], k), k, m)
 
 
 def biadjacency_of(a: AdjacencyMatrix) -> BoolMatrix:
@@ -187,46 +188,42 @@ def njoin_condition(a1: AdjacencyMatrix, a2: AdjacencyMatrix) -> bool:
     return a1.m == a2.k
 
 
-def njoin_adjacency(a1: AdjacencyMatrix, a2: AdjacencyMatrix) -> BoolMatrix:
-    """Natural join of two adjacency matrices sharing their middle set.
-
-    The (k+m+s)-square result keeps one copy of the middle index block:
-    a1's biadjacency lands at rows 1..k / cols k+1..k+m and a2's at rows
-    k+1..k+m / cols k+m+1..k+m+s.
-    """
-    if not njoin_condition(a1, a2):
-        raise ValueError(
-            f"natural join condition violated: shapes {a1.shape} and {a2.shape}"
-        )
-    k, m, s = a1.k, a1.m, a2.m
-    out = np.zeros((k + m + s, k + m + s), dtype=bool)
-    out[:k, k : k + m] = biadjacency_of(a1)
-    out[k : k + m, k + m :] = biadjacency_of(a2)
-    return out
-
-
-def njoin_fold(mats: Sequence[AdjacencyMatrix]) -> BoolMatrix:
-    """Left fold of the natural join over a chain of adjacency matrices."""
-    if not mats:
-        raise ValueError("cannot fold an empty chain")
+def _check_join_chain(mats: Sequence[AdjacencyMatrix]) -> None:
     for t in range(len(mats) - 1):
         if not njoin_condition(mats[t], mats[t + 1]):
             raise ValueError(
                 f"natural join condition violated at position {t}: shapes "
                 f"{mats[t].shape} and {mats[t + 1].shape}"
             )
-    levels = tuple(a.k for a in mats) + (mats[-1].m,)
-    blocks = tuple(biadjacency_of(a) for a in mats)
-    return global_adjacency(GradedDigraph(levels, blocks))
+
+
+def njoin_adjacency(a1: AdjacencyMatrix, a2: AdjacencyMatrix) -> BoolMatrix:
+    """Natural join of two adjacency matrices sharing their middle set.
+
+    The (k+m+s)-square result keeps one copy of the middle index block.
+    """
+    return njoin_fold((a1, a2))
+
+
+def njoin_fold(mats: Sequence[AdjacencyMatrix]) -> BoolMatrix:
+    """Left fold of the natural join over a chain of adjacency matrices."""
+    if not mats:
+        raise ValueError("cannot fold an empty chain")
+    _check_join_chain(mats)
+    return chain_adjacency([biadjacency_of(a) for a in mats], mats[0].k)
 
 
 def reduced_composition(a1: AdjacencyMatrix, a2: AdjacencyMatrix) -> AdjacencyMatrix:
     """Compose along the middle set: biadjacency blocks Boolean-multiply."""
-    if not njoin_condition(a1, a2):
-        raise ValueError(
-            f"natural join condition violated: shapes {a1.shape} and {a2.shape}"
-        )
+    _check_join_chain((a1, a2))
     return embed_biadjacency(bool_product(biadjacency_of(a1), biadjacency_of(a2)))
+
+
+def _check_middle_set(r: BinaryRelation, s: BinaryRelation) -> None:
+    if r.ran != s.dom:
+        raise ValueError(
+            f"middle sets differ: ran {list(r.ran.labels)} vs dom {list(s.dom.labels)}"
+        )
 
 
 def njoin_digraphs(g1: BinaryRelation, g2: BinaryRelation) -> GradedDigraph:
@@ -235,10 +232,7 @@ def njoin_digraphs(g1: BinaryRelation, g2: BinaryRelation) -> GradedDigraph:
     The middle sets must agree by labels and order (matrix columns are
     label-ordered).  The operation is ordered: g1 feeds g2.
     """
-    if g1.ran != g2.dom:
-        raise ValueError(
-            f"middle sets differ: ran {list(g1.ran.labels)} vs dom {list(g2.dom.labels)}"
-        )
+    _check_middle_set(g1, g2)
     return GradedDigraph(
         (len(g1.dom), len(g1.ran), len(g2.ran)),
         (g1.biadjacency(), g2.biadjacency()),
@@ -258,10 +252,7 @@ def njoin_graded(d1: GradedDigraph, d2: GradedDigraph) -> GradedDigraph:
 
 def compose_relations(r: BinaryRelation, s: BinaryRelation) -> BinaryRelation:
     """Relation composition through the shared middle set."""
-    if r.ran != s.dom:
-        raise ValueError(
-            f"middle sets differ: ran {list(r.ran.labels)} vs dom {list(s.dom.labels)}"
-        )
+    _check_middle_set(r, s)
     pairs = frozenset(
         (x, z) for (x, y) in r.pairs for (y2, z) in s.pairs if y == y2
     )

@@ -217,3 +217,49 @@ def test_vertex_cap_env_var(capsys, monkeypatch):
     monkeypatch.setenv("COBWEB_MAX_VERTICES", "100")
     status, _, _ = run(capsys, "zeta", "--seq", "explicit:4,4,4")
     assert status == 0
+
+
+@pytest.mark.parametrize("raw", ["0", "-5", "ten"])
+def test_vertex_cap_must_be_a_positive_integer(capsys, monkeypatch, raw):
+    monkeypatch.setenv("COBWEB_MAX_VERTICES", raw)
+    status, out, err = run(capsys, "zeta", "--seq", "explicit:1")
+    assert status == 1 and out == ""
+    assert "COBWEB_MAX_VERTICES must be a positive integer" in err and repr(raw) in err
+
+
+def test_fibtree_cap_is_checked_before_the_tree_is_built(capsys, monkeypatch):
+    def never(n):
+        raise AssertionError(f"fibonacci_tree({n}) built past the vertex cap")
+
+    monkeypatch.setattr(cli.cobweb, "fibonacci_tree", never)
+    monkeypatch.setenv("COBWEB_MAX_VERTICES", "10")
+    status, out, err = run(capsys, "fibtree", "--levels", "40")
+    assert status == 1 and out == "" and "exceeds COBWEB_MAX_VERTICES=10" in err
+
+
+def test_level_sizes_stop_once_the_cap_is_passed(capsys, monkeypatch):
+    calls = []
+    original = cli.cobweb.level_size
+
+    def counted(seq, k):
+        calls.append(k)
+        return original(seq, k)
+
+    monkeypatch.setattr(cli.cobweb, "level_size", counted)
+    monkeypatch.setenv("COBWEB_MAX_VERTICES", "100")
+    status, _, err = run(capsys, "zeta", "--seq", "naturals", "--levels", "1000000")
+    assert status == 1 and "exceeds COBWEB_MAX_VERTICES=100" in err
+    assert len(calls) == 14  # 1 + 2 + ... + 14 = 105 is the first total past 100
+
+
+@pytest.mark.parametrize("payload", [
+    {"levels": [1, 2], "arcs": 5},
+    {"levels": [1, 2], "arcs": [[[1, 1], [1]]]},
+    {"levels": [1, 2], "arcs": [[["1", 1]]]},
+    {"levels": ["one", 2], "arcs": [[[1, 1]]]},
+])
+def test_malformed_digraph_json_is_a_domain_error(capsys, tmp_path, payload):
+    path = write_json(tmp_path / "bad.json", payload)
+    status, out, err = run(capsys, "zeta", "--from", path)
+    assert status == 1 and out == ""
+    assert "bad digraph JSON" in err and "inhomogeneous" not in err

@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from functools import reduce
 
 import numpy as np
@@ -27,7 +29,14 @@ from cobwebs.digraph import (
 from cobwebs.ferrers import chain_is_ferrers
 from cobwebs.fseq import FSequence, level_sizes
 
-from conftest import BUILTIN_SEQUENCES, dfs_count_paths, golden_text, warshall_closure
+from conftest import (
+    BUILTIN_SEQUENCES,
+    dfs_count_paths,
+    golden_text,
+    rand_bool_matrix,
+    rand_graded_sizes,
+    warshall_closure,
+)
 
 
 def an_blocks(sizes):
@@ -209,6 +218,34 @@ def test_count_paths_closed_form_and_dfs():
                 for t in range(i + 1, j):
                     product *= sizes[t]
                 assert got == product
+
+
+def test_count_paths_matches_dfs_on_incomplete_digraphs():
+    rng = random.Random(0xC0B)
+    digraphs = [fibonacci_tree(n) for n in range(1, 8)]
+    for _ in range(40):
+        sizes = rand_graded_sizes(rng)
+        digraphs.append(GradedDigraph(tuple(sizes), tuple(
+            rand_bool_matrix(rng, sizes[k], sizes[k + 1], 0.6) for k in range(len(sizes) - 1)
+        )))
+        arcs = list(build_cobweb(sizes).hasse.arcs())
+        removals = rng.sample(arcs, rng.randint(0, len(arcs)))
+        digraphs.append(delete_arcs(build_cobweb(sizes), removals))
+    for d in digraphs:
+        a = global_adjacency(d)
+        for x in range(1, d.n_vertices + 1):
+            for y in range(1, d.n_vertices + 1):
+                assert count_paths(d, x, y) == dfs_count_paths(a, x, y)
+
+
+def test_count_paths_is_exact_past_int64():
+    # 1 -> 465 crosses every level of the 30-level naturals cobweb; the
+    # count is the product 2 * 3 * ... * 29 of the intermediate sizes
+    p = build_cobweb(FSequence.naturals(), 30)
+    start = time.perf_counter()
+    assert count_paths(p, 1, 465) == math.factorial(29)
+    assert time.perf_counter() - start < 1.0
+    assert math.factorial(29) > 2**63
 
 
 def test_maximal_chain_count_is_product_of_sizes():

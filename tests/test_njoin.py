@@ -135,6 +135,28 @@ def test_njoin_adjacency_worked_example():
         njoin_adjacency(a1, a1)
 
 
+def test_zero_size_sides_embed_and_join():
+    # an empty domain or codomain is a legal bipartite digraph: no rows or
+    # no columns in its block, and only zeros in its square matrix
+    empty_dom = embed_biadjacency(boolmat.zeros_matrix(0, 3))
+    assert empty_dom.shape == (0, 3) and empty_dom.mat.shape == (3, 3)
+    assert not empty_dom.mat.any()
+    empty_ran = embed_biadjacency(boolmat.zeros_matrix(2, 0))
+    assert empty_ran.shape == (2, 0) and empty_ran.mat.shape == (2, 2)
+    assert embed_biadjacency(boolmat.zeros_matrix(0, 0)).mat.shape == (0, 0)
+
+    joined = njoin_adjacency(empty_dom, embed_biadjacency(boolmat.ones_matrix(3, 2)))
+    expected = np.zeros((5, 5), dtype=bool)
+    expected[:3, 3:] = True
+    assert np.array_equal(joined, expected)
+    assert np.array_equal(
+        njoin_adjacency(empty_ran, embed_biadjacency(boolmat.zeros_matrix(0, 3))),
+        np.zeros((5, 5), dtype=bool),
+    )
+    tail = njoin_adjacency(embed_biadjacency(boolmat.ones_matrix(1, 2)), empty_ran)
+    assert tail.astype(int).tolist() == [[0, 1, 1], [0, 0, 0], [0, 0, 0]]
+
+
 @pytest.mark.parametrize("seq", BUILTIN_SEQUENCES, ids=lambda s: s.kind)
 def test_njoin_fold_of_complete_blocks_is_cobweb_adjacency(seq):
     sizes = level_sizes(seq, 7)
