@@ -70,7 +70,7 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise DomainError(f"{path} is not valid JSON: {exc}")
@@ -306,10 +306,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, IndexError, OverflowError) as exc:
+    except (DomainError, ValueError, IndexError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

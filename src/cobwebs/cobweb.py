@@ -25,7 +25,7 @@ import numpy as np
 
 from .boolmat import BoolMatrix, closure_series, ones_matrix
 from .digraph import GradedDigraph, global_adjacency, transitive_closure
-from .fseq import FSequence, level_size, level_sizes  # noqa: F401  (kept importable)
+from .fseq import FSequence, level_size
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,16 +154,10 @@ def verify_dim2(
     n = z.shape[0]
     if len(r.l1) != n:
         raise ValueError(f"realizer covers {len(r.l1)} vertices, poset has {n}")
-    pos1 = np.empty(n, dtype=int)
-    pos2 = np.empty(n, dtype=int)
-    for i, v in enumerate(r.l1):
-        pos1[v - 1] = i
-    for i, v in enumerate(r.l2):
-        pos2[v - 1] = i
-    before1 = pos1[:, None] < pos1[None, :]
-    before2 = pos2[:, None] < pos2[None, :]
-    off_diag = ~np.eye(n, dtype=bool)
-    return bool(np.array_equal((before1 & before2) & off_diag, z & off_diag))
+    pos1, pos2 = np.argsort(r.l1), np.argsort(r.l2)  # pos[v - 1]: v's place
+    both = (pos1[:, None] < pos1) & (pos2[:, None] < pos2)
+    np.fill_diagonal(both, True)
+    return bool(np.array_equal(both, z))
 
 
 def count_paths(p: CobwebPoset | GradedDigraph, x: int, y: int) -> int:

@@ -222,10 +222,13 @@ def digraph_to_json(d: GradedDigraph) -> dict:
 def digraph_from_json(data: dict) -> GradedDigraph:
     """Inverse of ``digraph_to_json``; the JSON shape is checked before numpy sees it."""
     try:
-        levels = tuple(int(s) for s in data["levels"])
+        levels = tuple(data["levels"])
         arcs = list(data["arcs"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"bad digraph JSON: {exc}") from None
+    for s in levels:
+        if type(s) is not int:  # int() would accept 1.5, "1" and true
+            raise ValueError(f"bad digraph JSON: level size {s!r} is not an integer")
     for k, b in enumerate(arcs):
         if not isinstance(b, list) or not all(
             isinstance(row, list) and all(x in (0, 1) for x in row) for row in b

@@ -76,29 +76,24 @@ def has_perm2x2(b: BoolMatrix) -> Optional[PermSubmatrixWitness]:
     """Find the lexicographically smallest 2x2 permutation submatrix.
 
     Returns None when no such submatrix exists.  Witness order is
-    (r1, r2, c1, c2) with r1 < r2 and c1 < c2, all 1-based.
+    (r1, r2, c1, c2) with r1 < r2 and c1 < c2, all 1-based.  Rows r1 and
+    r2 hold a witness exactly when some column reads (1, 0) down the pair
+    and another reads (0, 1).  For the first such pair, c1 is the first
+    column where the rows differ: a column of the opposite kind must come
+    after it, so it opens the pair's smallest witness.  c2 is the first
+    later column of the opposite kind.
     """
     b = as_bool_matrix(b)
-    rows, cols = b.shape
-    for r1 in range(rows):
-        for r2 in range(r1 + 1, rows):
-            hi_lo = b[r1] & ~b[r2]  # columns reading (1, 0) down the pair
-            lo_hi = ~b[r1] & b[r2]  # columns reading (0, 1)
-            best: Optional[tuple[int, int, str]] = None
-            for first, second, pattern in ((hi_lo, lo_hi, "10"), (lo_hi, hi_lo, "01")):
-                firsts = np.nonzero(first)[0]
-                if firsts.size == 0:
-                    continue
-                c1 = int(firsts[0])
-                seconds = np.nonzero(second[c1 + 1 :])[0]
-                if seconds.size == 0:
-                    continue
-                c2 = c1 + 1 + int(seconds[0])
-                if best is None or (c1, c2) < best[:2]:
-                    best = (c1, c2, pattern)
-            if best is not None:
-                c1, c2, pattern = best
-                return PermSubmatrixWitness(r1 + 1, r2 + 1, c1 + 1, c2 + 1, pattern)
+    for r1 in range(b.shape[0] - 1):
+        row, later = b[r1], b[r1 + 1 :]
+        incomparable = (row & ~later).any(axis=1) & (~row & later).any(axis=1)
+        if incomparable.any():
+            r2 = r1 + 1 + int(incomparable.argmax())
+            differ = row ^ b[r2]
+            c1 = int(differ.argmax())
+            c2 = int((differ & (row != row[c1])).argmax())
+            pattern = "10" if row[c1] else "01"
+            return PermSubmatrixWitness(r1 + 1, r2 + 1, c1 + 1, c2 + 1, pattern)
     return None
 
 
@@ -110,14 +105,8 @@ def is_ferrers(b: BoolMatrix) -> bool:
     ``has_perm2x2(b) is None`` on every matrix.
     """
     b = as_bool_matrix(b)
-    if b.shape[0] <= 1 or b.shape[1] <= 1:
-        return True
-    counts = b.sum(axis=1)
-    order = np.argsort(-counts, kind="stable")
-    for t in range(len(order) - 1):
-        if (b[order[t + 1]] & ~b[order[t]]).any():
-            return False
-    return True
+    nested = b[np.argsort(-b.sum(axis=1), kind="stable")]
+    return not (nested[1:] & ~nested[:-1]).any()
 
 
 def strict_order_is_ferrers(z: BoolMatrix) -> bool:
@@ -141,12 +130,10 @@ def chain_is_ferrers(blocks: Sequence[BoolMatrix]) -> ChainFerrersResult:
                 f"chain not conformable at block {k}: {blocks[k].shape} then "
                 f"{blocks[k + 1].shape}"
             )
-    failures = []
-    for k, b in enumerate(blocks):
-        witness = has_perm2x2(b)
-        if witness is not None:
-            failures.append((k, witness))
-    return ChainFerrersResult(not failures, tuple(failures))
+    failures = tuple(
+        (k, has_perm2x2(b)) for k, b in enumerate(blocks) if not is_ferrers(b)
+    )
+    return ChainFerrersResult(not failures, failures)
 
 
 def staircase_profile(z: BoolMatrix) -> StaircaseProfile:
@@ -157,7 +144,9 @@ def staircase_profile(z: BoolMatrix) -> StaircaseProfile:
     later level.  A trailing truncated level is fine (its rows simply
     have no 1s right of the diagonal), but a multi-vertex matrix whose
     first row has no 1s is not the zeta of any join of complete
-    bipartite blocks, so it is rejected with witness (1, 2).
+    bipartite blocks, so it is rejected with witness (1, 2).  The level
+    sizes are read off the boundaries; any other violation is the first
+    cell, in row-major order, where z differs from their staircase.
     """
     z = as_bool_matrix(z)
     n = z.shape[0]
@@ -168,35 +157,28 @@ def staircase_profile(z: BoolMatrix) -> StaircaseProfile:
     if np.tril(z, -1).any():
         raise ValueError("zeta matrix must be upper triangular")
 
-    boundaries: list[Optional[int]] = []
-    for i in range(n):
-        above = np.nonzero(z[i, i + 1 :])[0]
-        boundaries.append(i + 2 + int(above[0]) if above.size else None)
-
-    def fail(row: int, col: int) -> StaircaseProfile:
-        return StaircaseProfile(tuple(boundaries), None, (row, col))
-
     if n == 0:
         return StaircaseProfile((), (), None)
-
+    upper = np.triu(z, 1)
+    first = upper.argmax(axis=1)
+    boundaries = tuple(
+        int(c) + 1 if one else None for c, one in zip(first, upper[np.arange(n), first])
+    )
     sizes: list[int] = []
     start = 0
     while start < n:
         boundary = boundaries[start]
-        if boundary is None:
-            if start == 0 and n > 1:
-                return fail(1, 2)
-            end = n  # trailing level: all remaining rows must be bare
-        else:
-            end = boundary - 1
-        for i in range(start, end):
-            row = z[i]
-            inside = np.nonzero(row[i + 1 : end])[0]
-            if inside.size:
-                return fail(i + 1, i + 2 + int(inside[0]))
-            missing = np.nonzero(~row[end:])[0]
-            if missing.size:
-                return fail(i + 1, end + 1 + int(missing[0]))
+        if boundary is None and start == 0 and n > 1:
+            return StaircaseProfile(boundaries, None, (1, 2))
+        end = n if boundary is None else boundary - 1  # None: a trailing level
         sizes.append(end - start)
         start = end
-    return StaircaseProfile(tuple(boundaries), tuple(sizes), None)
+    level = np.repeat(np.arange(len(sizes)), sizes)
+    staircase = level[:, None] < level[None, :]
+    np.fill_diagonal(staircase, True)
+    wrong = (z != staircase).ravel()
+    k = int(wrong.argmax())
+    if wrong[k]:
+        row, col = divmod(k, n)
+        return StaircaseProfile(boundaries, None, (row + 1, col + 1))
+    return StaircaseProfile(boundaries, tuple(sizes), None)

@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .boolmat import BoolMatrix, as_bool_matrix, bool_product, chain_adjacency
-from .digraph import GradedDigraph, global_adjacency  # noqa: F401  (kept importable)
+from .digraph import GradedDigraph
 
 
 @dataclass(frozen=True)
@@ -309,11 +309,20 @@ def relation_to_json(r: BinaryRelation) -> dict:
     }
 
 
+def _json_list(value) -> list:
+    """``value`` if it is a JSON list; a string would split into its characters."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    return value
+
+
 def relation_from_json(data: dict) -> BinaryRelation:
     try:
-        dom = FiniteSet(tuple(data["dom"]))
-        ran = FiniteSet(tuple(data["ran"]))
-        pairs = frozenset((str(a), str(b)) for a, b in data["pairs"])
+        dom = FiniteSet(tuple(_json_list(data["dom"])))
+        ran = FiniteSet(tuple(_json_list(data["ran"])))
+        pairs = frozenset(
+            (str(a), str(b)) for a, b in map(_json_list, _json_list(data["pairs"]))
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad relation JSON: {exc}") from None
     return BinaryRelation(dom, ran, pairs)
@@ -328,8 +337,10 @@ def nary_to_json(t: NaryRelation) -> dict:
 
 def nary_from_json(data: dict) -> NaryRelation:
     try:
-        columns = tuple(FiniteSet(tuple(c)) for c in data["columns"])
-        tuples = frozenset(tuple(str(v) for v in tup) for tup in data["tuples"])
+        columns = tuple(FiniteSet(tuple(c)) for c in map(_json_list, _json_list(data["columns"])))
+        tuples = frozenset(
+            tuple(str(v) for v in tup) for tup in map(_json_list, _json_list(data["tuples"]))
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad n-ary relation JSON: {exc}") from None
     return NaryRelation(columns, tuples)

@@ -257,9 +257,48 @@ def test_level_sizes_stop_once_the_cap_is_passed(capsys, monkeypatch):
     {"levels": [1, 2], "arcs": [[[1, 1], [1]]]},
     {"levels": [1, 2], "arcs": [[["1", 1]]]},
     {"levels": ["one", 2], "arcs": [[[1, 1]]]},
+    {"levels": [1.5, 2], "arcs": [[[1, 1]]]},
+    {"levels": ["1", 2], "arcs": [[[1, 1]]]},
+    {"levels": [True, 2], "arcs": [[[1, 1]]]},
 ])
 def test_malformed_digraph_json_is_a_domain_error(capsys, tmp_path, payload):
     path = write_json(tmp_path / "bad.json", payload)
     status, out, err = run(capsys, "zeta", "--from", path)
     assert status == 1 and out == ""
     assert "bad digraph JSON" in err and "inhomogeneous" not in err
+
+
+@pytest.mark.parametrize("left", [
+    {"dom": "xy", "ran": ["a", "b"], "pairs": [["x", "a"], ["y", "b"]]},
+    {"dom": ["x", "y"], "ran": ["a", "b"], "pairs": ["xa", ["y", "b"]]},
+])
+def test_relation_json_strings_are_not_lists(capsys, tmp_path, left):
+    left = write_json(tmp_path / "left.json", left)
+    right = write_json(tmp_path / "right.json", {"dom": ["a", "b"], "ran": ["c"],
+                                                 "pairs": [["a", "c"]]})
+    status, out, err = run(capsys, "compose", "--left", left, "--right", right)
+    assert status == 1 and out == ""
+    assert "bad relation JSON: expected a list, got" in err
+
+
+@pytest.mark.parametrize("nary", [
+    {"columns": ["xy", ["a"]], "tuples": [["x", "a"]]},
+    {"columns": [["x", "y"], ["a"]], "tuples": ["xa"]},
+])
+def test_nary_json_strings_are_not_lists(capsys, tmp_path, nary):
+    path = write_json(tmp_path / "t.json", nary)
+    status, out, err = run(capsys, "decompose", "--from", path)
+    assert status == 1 and out == ""
+    assert "bad n-ary relation JSON: expected a list, got" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeta", "--from", "{}"],
+    ["join", "--left", "{}", "--right", "{}"],
+])
+def test_non_utf8_file_is_named(capsys, tmp_path, argv):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{")
+    status, out, err = run(capsys, *(a.format(path) for a in argv))
+    assert status == 1 and out == ""
+    assert err.startswith(f"error: cannot read {path}: ")

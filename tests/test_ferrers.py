@@ -7,6 +7,7 @@ from cobwebs import boolmat
 from cobwebs.cobweb import build_cobweb, fibonacci_tree, zeta_matrix
 from cobwebs.digraph import transitive_closure
 from cobwebs.ferrers import (
+    StaircaseProfile,
     chain_is_ferrers,
     has_perm2x2,
     is_ferrers,
@@ -84,6 +85,25 @@ def test_is_ferrers_iff_no_perm2x2(b):
         assert quad.astype(int).tolist() == expected
 
 
+def quartic_witness(b):
+    """The first 2x2 permutation submatrix in (r1, r2, c1, c2) order, 1-based."""
+    rows, cols = b.shape
+    for r1 in range(rows):
+        for r2 in range(r1 + 1, rows):
+            for c1 in range(cols):
+                for c2 in range(c1 + 1, cols):
+                    if b[r1, c1] == b[r2, c2] != b[r1, c2] == b[r2, c1]:
+                        return (r1 + 1, r2 + 1, c1 + 1, c2 + 1, "10" if b[r1, c1] else "01")
+    return None
+
+
+@given(small_bool_matrices())
+def test_has_perm2x2_is_the_first_quartic_witness(b):
+    w = has_perm2x2(b)
+    found = None if w is None else (w.r1, w.r2, w.c1, w.c2, w.pattern)
+    assert found == quartic_witness(b)
+
+
 @given(small_bool_matrices(max_dim=6), st.integers(0, 5), st.integers(0, 5))
 def test_ferrers_closed_under_duplication(b, row, col):
     if not is_ferrers(b):
@@ -104,6 +124,7 @@ def test_staircase_profile_recovers_golden_sizes():
 
 
 def test_staircase_profile_on_identity():
+    assert staircase_profile(boolmat.zeros_matrix(0, 0)) == StaircaseProfile((), (), None)
     assert staircase_profile(boolmat.identity(1)).level_sizes == (1,)
     for n in (2, 3, 6):
         profile = staircase_profile(boolmat.identity(n))
@@ -133,6 +154,23 @@ def test_staircase_profile_reports_first_violation():
     bumpy[0, 2] = False  # a zero past the boundary claimed by row 1
     profile = staircase_profile(bumpy)
     assert not profile.ok and profile.violation == (1, 3)
+
+
+@pytest.mark.parametrize("name, i, j, value, violation, sizes", [
+    ("zeta_n_16.txt", 3, 4, True, (4, 6), None),  # a same-level one moves a boundary
+    ("zeta_n_16.txt", 0, 15, False, (1, 16), None),
+    ("zeta_n_16.txt", 10, 12, True, (11, 14), None),
+    ("zeta_n_16.txt", 1, 2, True, None, (1, 1, 1, 3, 4, 5, 1)),  # another staircase
+    ("zeta_f_16.txt", 0, slice(1, None), False, (1, 2), None),
+    ("zeta_f_16.txt", 2, 3, False, (4, 5), None),  # two levels merge
+    ("zeta_f_16.txt", 8, 15, False, (9, 16), None),
+    ("zeta_f_16.txt", 13, 14, True, (14, 16), None),
+])
+def test_staircase_profile_on_corrupted_golden_grids(name, i, j, value, violation, sizes):
+    z = boolmat.from_text(golden_text(name)).copy()
+    z[i, j] = value
+    profile = staircase_profile(z)
+    assert (profile.violation, profile.level_sizes) == (violation, sizes)
 
 
 def test_staircase_profile_validates_input():
