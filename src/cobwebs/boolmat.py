@@ -4,7 +4,9 @@ Boolean matrices are 2-d numpy arrays of dtype ``bool``; the product is the
 or-of-ands composition (A (c) B)_{ij} = OR_t (A_{it} AND B_{tj}), written
 ``bool_product`` here.  The reflexive-transitive closure of a digraph with
 adjacency matrix A is the saturated geometric series I v A v A^2 v ...,
-computed by ``closure_series``.
+computed by ``closure_series`` by repeated squaring: after k products the
+accumulator holds every path of length at most 2^k, so an n-vertex digraph
+saturates within ceil(log2 n) + 1 products, cyclic or not.
 
 Counting matrices (``int_power``) use dtype ``object`` so entries are plain
 Python integers: path counts grow like products of level sizes and must
@@ -92,20 +94,23 @@ def closure_series(a: BoolMatrix, reflexive: bool = True) -> BoolMatrix:
 
     Returns I v A v A^2 v ... (the reflexive-transitive closure) when
     ``reflexive``, else A v A^2 v ... (the strict transitive closure).
-    The fixed point is detected by comparing successive accumulators, so
-    the loop terminates within ``rows`` iterations for any input, cyclic
-    or not.
+    The strict accumulator is squared, C <- C v C (c) C, until a product
+    adds nothing.  Each product doubles the longest path length covered,
+    so a longest path of P arcs costs max(1, ceil(log2 P) + 1) products
+    and any n-rows input, cyclic or not, stops within ceil(log2 n) + 1.
+    Cycles stay visible on the strict closure's diagonal.
     """
     a = as_bool_matrix(a)
     n = a.shape[0]
     if n != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    acc = (a | identity(n)) if reflexive else a.copy()
+    acc = a.copy()
     while True:
-        nxt = acc | bool_product(acc, a)
+        nxt = acc | bool_product(acc, acc)
         if np.array_equal(nxt, acc):
-            return acc
+            break
         acc = nxt
+    return acc | identity(n) if reflexive else acc
 
 
 def direct_sum(blocks: Iterable[BoolMatrix]) -> BoolMatrix:

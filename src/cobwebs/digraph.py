@@ -231,8 +231,9 @@ def digraph_from_json(data: dict) -> GradedDigraph:
             raise ValueError(f"bad digraph JSON: level size {s!r} is not an integer")
     for k, b in enumerate(arcs):
         if not isinstance(b, list) or not all(
-            isinstance(row, list) and all(x in (0, 1) for x in row) for row in b
-        ):
+            isinstance(row, list) and all(type(x) is int and x in (0, 1) for x in row)
+            for row in b
+        ):  # ``x in (0, 1)`` alone would accept true, false and 1.0
             raise ValueError(f"bad digraph JSON: arc block {k} is not a list of 0/1 rows")
         if len({len(row) for row in b}) > 1:
             raise ValueError(f"bad digraph JSON: arc block {k} has rows of unequal length")

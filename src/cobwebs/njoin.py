@@ -316,12 +316,20 @@ def _json_list(value) -> list:
     return value
 
 
+def _json_labels(value) -> tuple[str, ...]:
+    """A JSON list of labels, each a JSON string or number, as strings."""
+    for x in _json_list(value):
+        if isinstance(x, bool) or not isinstance(x, (str, int, float)):
+            raise TypeError(f"label {x!r} is not a string or number")
+    return tuple(str(x) for x in value)
+
+
 def relation_from_json(data: dict) -> BinaryRelation:
     try:
-        dom = FiniteSet(tuple(_json_list(data["dom"])))
-        ran = FiniteSet(tuple(_json_list(data["ran"])))
+        dom = FiniteSet(_json_labels(data["dom"]))
+        ran = FiniteSet(_json_labels(data["ran"]))
         pairs = frozenset(
-            (str(a), str(b)) for a, b in map(_json_list, _json_list(data["pairs"]))
+            (a, b) for a, b in map(_json_labels, _json_list(data["pairs"]))
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad relation JSON: {exc}") from None
@@ -337,10 +345,8 @@ def nary_to_json(t: NaryRelation) -> dict:
 
 def nary_from_json(data: dict) -> NaryRelation:
     try:
-        columns = tuple(FiniteSet(tuple(c)) for c in map(_json_list, _json_list(data["columns"])))
-        tuples = frozenset(
-            tuple(str(v) for v in tup) for tup in map(_json_list, _json_list(data["tuples"]))
-        )
+        columns = tuple(FiniteSet(c) for c in map(_json_labels, _json_list(data["columns"])))
+        tuples = frozenset(map(_json_labels, _json_list(data["tuples"])))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad n-ary relation JSON: {exc}") from None
     return NaryRelation(columns, tuples)

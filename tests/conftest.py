@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from cobwebs.cobweb import build_cobweb, delete_arcs, fibonacci_tree
+from cobwebs.digraph import GradedDigraph
 from cobwebs.fseq import FSequence
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -100,3 +102,23 @@ def rand_dag(rng: random.Random, n: int, density: float = 0.4) -> np.ndarray:
 
 def rand_graded_sizes(rng: random.Random, max_levels: int = 5, max_size: int = 4) -> list[int]:
     return [rng.randint(1, max_size) for _ in range(rng.randint(1, max_levels))]
+
+
+CLOSURE_INPUT_KINDS = ("graded", "permuted-dag", "deleted-arcs", "fibonacci-tree")
+
+
+def rand_closure_input(rng: random.Random, kind: str) -> GradedDigraph | np.ndarray:
+    """A closure input of one kind: a graded digraph, or a raw permuted DAG."""
+    if kind == "permuted-dag":
+        return rand_dag(rng, rng.randint(0, 14), rng.random())
+    if kind == "fibonacci-tree":
+        return fibonacci_tree(rng.randint(1, 8))
+    sizes = rand_graded_sizes(rng, max_levels=8)
+    if kind == "graded":
+        density = rng.random()
+        return GradedDigraph(tuple(sizes), tuple(
+            rand_bool_matrix(rng, sizes[k], sizes[k + 1], density) for k in range(len(sizes) - 1)
+        ))
+    p = build_cobweb(sizes)
+    arcs = list(p.hasse.arcs())
+    return delete_arcs(p, rng.sample(arcs, rng.randint(0, len(arcs))))

@@ -7,9 +7,16 @@ from hypothesis import strategies as st
 
 from cobwebs import boolmat
 from cobwebs.cobweb import build_cobweb, hasse_matrix
+from cobwebs.digraph import GradedDigraph, global_adjacency
 from cobwebs.fseq import level_sizes
 
-from conftest import BUILTIN_SEQUENCES, rand_bool_matrix, warshall_closure
+from conftest import (
+    BUILTIN_SEQUENCES,
+    CLOSURE_INPUT_KINDS,
+    rand_bool_matrix,
+    rand_closure_input,
+    warshall_closure,
+)
 
 
 def bool_matrices(max_rows=8, max_cols=8, min_rows=0, min_cols=0):
@@ -96,6 +103,49 @@ def test_closure_series_equals_warshall(a, reflexive):
         boolmat.closure_series(a, reflexive=reflexive),
         warshall_closure(a, reflexive=reflexive),
     )
+
+
+@given(st.sampled_from(CLOSURE_INPUT_KINDS), st.randoms(use_true_random=False), st.booleans())
+def test_closure_series_equals_warshall_on_dags(kind, rnd, reflexive):
+    d = rand_closure_input(rnd, kind)
+    a = global_adjacency(d) if isinstance(d, GradedDigraph) else d
+    assert np.array_equal(
+        boolmat.closure_series(a, reflexive=reflexive),
+        warshall_closure(a, reflexive=reflexive),
+    )
+
+
+def counting_products(monkeypatch) -> list:
+    """Route ``boolmat.bool_product`` through a counter; returns the call log."""
+    calls = []
+    product = boolmat.bool_product
+
+    def counted(a, b):
+        calls.append(a.shape)
+        return product(a, b)
+
+    monkeypatch.setattr(boolmat, "bool_product", counted)
+    return calls
+
+
+def test_path_closes_in_logarithmically_many_products(monkeypatch):
+    calls = counting_products(monkeypatch)
+    for arcs in range(40):
+        path = np.eye(arcs + 1, k=1, dtype=bool)
+        calls.clear()
+        z = boolmat.closure_series(path)
+        assert np.array_equal(z, np.triu(np.ones((arcs + 1,) * 2, dtype=bool)))
+        # (arcs - 1).bit_length() is ceil(log2(arcs)) for arcs >= 1
+        assert len(calls) == (1 + (arcs - 1).bit_length() if arcs else 1), arcs
+
+
+def test_cycle_closes_within_log_rows_products(monkeypatch):
+    calls = counting_products(monkeypatch)
+    for n in range(1, 40):
+        cycle = np.roll(np.eye(n, dtype=bool), 1, axis=1)
+        calls.clear()
+        assert boolmat.closure_series(cycle, reflexive=False).all()
+        assert len(calls) <= 1 + (n - 1).bit_length(), n
 
 
 def test_nilpotent_powers_vanish_within_rows():

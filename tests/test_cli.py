@@ -260,12 +260,22 @@ def test_level_sizes_stop_once_the_cap_is_passed(capsys, monkeypatch):
     {"levels": [1.5, 2], "arcs": [[[1, 1]]]},
     {"levels": ["1", 2], "arcs": [[[1, 1]]]},
     {"levels": [True, 2], "arcs": [[[1, 1]]]},
+    {"levels": [1, 2], "arcs": [[[True, 1]]]},
+    {"levels": [1, 2], "arcs": [[[1, False]]]},
+    {"levels": [1, 2], "arcs": [[[1.0, 1]]]},
 ])
 def test_malformed_digraph_json_is_a_domain_error(capsys, tmp_path, payload):
     path = write_json(tmp_path / "bad.json", payload)
     status, out, err = run(capsys, "zeta", "--from", path)
     assert status == 1 and out == ""
     assert "bad digraph JSON" in err and "inhomogeneous" not in err
+
+
+def test_digraph_json_arc_entries_are_integers(capsys, tmp_path):
+    path = write_json(tmp_path / "bad.json", {"levels": [1, 2], "arcs": [[[True, 1.0]]]})
+    status, out, err = run(capsys, "zeta", "--from", path)
+    assert status == 1 and out == ""
+    assert err.startswith("error: bad digraph JSON: arc block 0 ")
 
 
 @pytest.mark.parametrize("left", [
@@ -290,6 +300,39 @@ def test_nary_json_strings_are_not_lists(capsys, tmp_path, nary):
     status, out, err = run(capsys, "decompose", "--from", path)
     assert status == 1 and out == ""
     assert "bad n-ary relation JSON: expected a list, got" in err
+
+
+@pytest.mark.parametrize("left", [
+    {"dom": [None, ["a"]], "ran": ["b"], "pairs": []},
+    {"dom": ["x", True], "ran": ["b"], "pairs": []},
+    {"dom": ["x"], "ran": ["b"], "pairs": [[{"x": 1}, "b"]]},
+])
+def test_relation_json_labels_are_strings_or_numbers(capsys, tmp_path, left):
+    left = write_json(tmp_path / "left.json", left)
+    right = write_json(tmp_path / "right.json", {"dom": ["b"], "ran": ["c"], "pairs": []})
+    status, out, err = run(capsys, "compose", "--left", left, "--right", right)
+    assert status == 1 and out == ""
+    assert err.startswith("error: bad relation JSON: label ")
+
+
+@pytest.mark.parametrize("nary", [
+    {"columns": [[None, ["a"]], ["b"]], "tuples": []},
+    {"columns": [["x"], ["b"]], "tuples": [["x", None]]},
+])
+def test_nary_json_labels_are_strings_or_numbers(capsys, tmp_path, nary):
+    path = write_json(tmp_path / "t.json", nary)
+    status, out, err = run(capsys, "decompose", "--from", path)
+    assert status == 1 and out == ""
+    assert err.startswith("error: bad n-ary relation JSON: label ")
+
+
+def test_relation_json_number_labels_load_as_strings(capsys, tmp_path):
+    left = write_json(tmp_path / "left.json", {"dom": [1], "ran": [2.5], "pairs": [[1, 2.5]]})
+    right = write_json(tmp_path / "right.json", {"dom": ["2.5"], "ran": ["c"],
+                                                 "pairs": [["2.5", "c"]]})
+    status, out, err = run(capsys, "compose", "--left", left, "--right", right)
+    assert status == 0 and err == ""
+    assert json.loads(out)["pairs"] == [["1", "c"]]
 
 
 @pytest.mark.parametrize("argv", [

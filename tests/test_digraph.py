@@ -9,7 +9,15 @@ from cobwebs import boolmat, digraph
 from cobwebs.cobweb import build_cobweb
 from cobwebs.digraph import GradedDigraph, Poset
 
-from conftest import golden_text, rand_bool_matrix, rand_dag, rand_graded_sizes, warshall_closure
+from conftest import (
+    CLOSURE_INPUT_KINDS,
+    golden_text,
+    rand_bool_matrix,
+    rand_closure_input,
+    rand_dag,
+    rand_graded_sizes,
+    warshall_closure,
+)
 
 
 def rand_graded(rng: random.Random) -> GradedDigraph:
@@ -93,6 +101,14 @@ def test_closure_of_naturals_cobweb_matches_golden():
 def test_closure_equals_warshall_on_random_dags(n, rnd):
     a = rand_dag(rnd, n)
     p = digraph.transitive_closure(a)
+    assert np.array_equal(p.leq, warshall_closure(a, reflexive=True))
+
+
+@given(st.sampled_from(CLOSURE_INPUT_KINDS), st.randoms(use_true_random=False))
+def test_closure_equals_warshall_on_graded_and_permuted_dags(kind, rnd):
+    d = rand_closure_input(rnd, kind)
+    a = digraph.global_adjacency(d) if isinstance(d, GradedDigraph) else d
+    p = digraph.transitive_closure(d)
     assert np.array_equal(p.leq, warshall_closure(a, reflexive=True))
 
 
