@@ -1,14 +1,11 @@
 """Cobweb posets, KoDAG Hasse digraphs, and natural joins of relations."""
 
 from .boolmat import (
-    bool_or,
-    bool_power,
     bool_product,
     closure_series,
     direct_sum,
     from_text,
     identity,
-    int_power,
     ones_matrix,
     to_text,
     zeros_matrix,

@@ -7,10 +7,6 @@ adjacency matrix A is the saturated geometric series I v A v A^2 v ...,
 computed by ``closure_series`` by repeated squaring: after k products the
 accumulator holds every path of length at most 2^k, so an n-vertex digraph
 saturates within ceil(log2 n) + 1 products, cyclic or not.
-
-Counting matrices (``int_power``) use dtype ``object`` so entries are plain
-Python integers: path counts grow like products of level sizes and must
-never wrap.
 """
 
 from __future__ import annotations
@@ -20,7 +16,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 BoolMatrix = np.ndarray
-IntMatrix = np.ndarray
 
 
 def as_bool_matrix(rows: Sequence[Sequence[int]] | np.ndarray) -> BoolMatrix:
@@ -60,33 +55,6 @@ def bool_product(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
             f"{b.shape[0]}x{b.shape[1]}"
         )
     return a @ b
-
-
-def bool_or(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
-    """Elementwise OR of two same-shaped matrices."""
-    a = as_bool_matrix(a)
-    b = as_bool_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a | b
-
-
-def bool_power(a: BoolMatrix, k: int) -> BoolMatrix:
-    """k-th Boolean power of a square matrix; a^0 is the identity."""
-    a = as_bool_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if k < 0:
-        raise ValueError(f"exponent must be nonnegative, got {k}")
-    result = identity(a.shape[0])
-    base = a
-    while k:
-        if k & 1:
-            result = bool_product(result, base)
-        k >>= 1
-        if k:
-            base = bool_product(base, base)
-    return result
 
 
 def closure_series(a: BoolMatrix, reflexive: bool = True) -> BoolMatrix:
@@ -139,43 +107,6 @@ def chain_adjacency(blocks: Iterable[BoolMatrix], first: int) -> BoolMatrix:
     out = np.zeros((first + s.shape[1],) * 2, dtype=bool)
     out[: s.shape[0], first:] = s
     return out
-
-
-def int_matrix(rows: Sequence[Sequence[int]] | np.ndarray) -> IntMatrix:
-    """Coerce to a 2-d counting matrix of exact Python integers."""
-    a = np.asarray(rows)
-    if a.ndim != 2:
-        raise ValueError(f"matrix must be 2-d, got shape {a.shape}")
-    out = np.empty(a.shape, dtype=object)
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            v = int(a[i, j])
-            if v < 0:
-                raise ValueError(f"entries must be nonnegative, got {v} at ({i}, {j})")
-            out[i, j] = v
-    return out
-
-
-def int_power(a: IntMatrix | np.ndarray, k: int) -> IntMatrix:
-    """Ordinary k-th matrix power with exact integer arithmetic; a^0 = I."""
-    a = int_matrix(a)
-    n = a.shape[0]
-    if n != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if k < 0:
-        raise ValueError(f"exponent must be nonnegative, got {k}")
-    result = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            result[i, j] = 1 if i == j else 0
-    base = a
-    while k:
-        if k & 1:
-            result = result @ base
-        k >>= 1
-        if k:
-            base = base @ base
-    return result
 
 
 def to_text(m: BoolMatrix) -> str:

@@ -128,7 +128,7 @@ def _cmd_zeta(args) -> int:
     d = _resolve_digraph(args)
     z = digraph.transitive_closure(d).leq
     if args.format == "json":
-        _emit(_json_text([[int(x) for x in row] for row in z]), args.out)
+        _emit(_json_text(z.astype(int).tolist()), args.out)
     else:
         _emit(boolmat.to_text(z), args.out)
     return 0
@@ -195,10 +195,7 @@ def _cmd_check_dim2(args) -> int:
 
 def _cmd_decompose(args) -> int:
     t = njoin.nary_from_json(_load_json(args.from_path))
-    try:
-        chain = njoin.project_chain(t)
-    except ValueError as exc:
-        raise DomainError(str(exc))
+    chain = njoin.project_chain(t)
     payload = {
         "decomposable": njoin.is_join_decomposable(t),
         "links": [njoin.relation_to_json(r) for r in chain.links],

@@ -119,10 +119,13 @@ def zeta_matrix(p: CobwebPoset) -> BoolMatrix:
 
 
 def leq(p: CobwebPoset, x: int, y: int) -> bool:
-    """Order query on global 1-based vertex indices."""
-    p.hasse.locate(x)
-    p.hasse.locate(y)
-    return bool(p.zeta[x - 1, y - 1])
+    """Order query on global 1-based vertex indices.
+
+    Every block of a cobweb is complete, so x <= y exactly when x == y or
+    x sits on an earlier level than y; the zeta matrix is not built.
+    """
+    i, j = p.hasse.level_of(x), p.hasse.level_of(y)
+    return bool(x == y or i < j)
 
 
 def realizer(p: CobwebPoset | GradedDigraph) -> Realizer:

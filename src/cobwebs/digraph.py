@@ -215,7 +215,7 @@ def digraph_to_json(d: GradedDigraph) -> dict:
     """JSON-ready dict: {"levels": [...], "arcs": [[row bit-lists] ...]}."""
     return {
         "levels": list(d.levels),
-        "arcs": [[[int(x) for x in row] for row in b] for b in d.blocks],
+        "arcs": [b.astype(int).tolist() for b in d.blocks],
     }
 
 

@@ -151,9 +151,7 @@ class AdjacencyMatrix:
             raise ValueError(f"shape must be nonnegative, got ({self.k}, {self.m})")
         if mat.shape != (n, n):
             raise ValueError(f"matrix shape {mat.shape} != ({n}, {n}) for shape ({self.k}, {self.m})")
-        body = mat.copy()
-        body[: self.k, self.k :] = False
-        if body.any():
+        if mat[self.k :].any() or mat[: self.k, : self.k].any():
             raise ValueError("entries outside the top-right domain x codomain block")
 
     def __eq__(self, other: object) -> bool:

@@ -64,15 +64,6 @@ def test_bool_product_dimension_mismatch():
         boolmat.bool_product(boolmat.ones_matrix(2, 3), boolmat.ones_matrix(2, 3))
 
 
-def test_bool_or():
-    a = np.array([[1, 0]], dtype=bool)
-    assert np.array_equal(boolmat.bool_or(a, boolmat.zeros_matrix(1, 2)), a)
-    assert np.array_equal(boolmat.bool_or(a, a), a)
-    assert boolmat.bool_or(a, np.array([[0, 1]], dtype=bool)).all()
-    with pytest.raises(ValueError):
-        boolmat.bool_or(a, boolmat.zeros_matrix(2, 2))
-
-
 def test_bool_product_associative_bulk():
     rng = random.Random(0xC0B3EB)
     for _ in range(1000):
@@ -153,10 +144,13 @@ def test_nilpotent_powers_vanish_within_rows():
     for _ in range(50):
         n = rng.randint(1, 8)
         a = np.triu(rand_bool_matrix(rng, n, n), 1)
-        assert not boolmat.bool_power(a, n).any()
+        powers = [a]
+        for _ in range(n - 1):
+            powers.append(boolmat.bool_product(powers[-1], a))
+        assert not boolmat.bool_product(powers[-1], a).any()
         partial = boolmat.identity(n)
-        for k in range(1, n + 1):
-            partial = partial | boolmat.bool_power(a, k)
+        for power in powers:
+            partial = partial | power
         assert np.array_equal(partial, boolmat.closure_series(a, reflexive=True))
 
 
@@ -171,45 +165,12 @@ def test_direct_sum():
     assert np.array_equal(two, expected)
 
 
-def test_int_power_small_cases():
-    a = boolmat.int_matrix([[0, 1], [0, 0]])
-    assert boolmat.int_power(a, 0).tolist() == [[1, 0], [0, 1]]
-    assert np.array_equal(boolmat.int_power(a, 1), a)
-    with pytest.raises(ValueError):
-        boolmat.int_power(boolmat.int_matrix([[1, 2, 3]]), 2)
-    with pytest.raises(ValueError):
-        boolmat.int_matrix([[-1]])
-
-
-def test_int_power_counts_two_step_paths():
-    p = build_cobweb([1, 2, 3])
-    a = hasse_matrix(p).astype(int)
-    sq = boolmat.int_power(a, 2)
-    for target in range(3, 6):  # 0-based columns of the level-2 vertices
-        assert sq[0, target] == 2
-
-
-def test_int_power_is_exact_for_large_counts():
-    n = 25
-    cube = boolmat.int_power(boolmat.int_matrix(np.ones((n, n), dtype=int)), 3)
-    assert cube[0, 0] == n * n
-    assert isinstance(cube[0, 0], int)
-
-
-def test_bool_power_is_sign_of_int_power():
-    rng = random.Random(23)
-    for _ in range(120):
-        n = rng.randint(1, 8)
-        k = rng.randint(0, 6)
-        a = rand_bool_matrix(rng, n, n)
-        shadow = boolmat.int_power(boolmat.int_matrix(a.astype(int)), k)
-        assert np.array_equal(shadow != 0, boolmat.bool_power(a, k))
-
-
 @pytest.mark.parametrize("seq", BUILTIN_SEQUENCES, ids=lambda s: s.kind)
 def test_cobweb_power_supports_are_disjoint(seq):
     a = hasse_matrix(build_cobweb(level_sizes(seq, 6)))
-    powers = [boolmat.bool_power(a, k) for k in range(1, 7)]
+    powers = [a]
+    for _ in range(5):
+        powers.append(boolmat.bool_product(powers[-1], a))
     for i in range(len(powers)):
         for j in range(i + 1, len(powers)):
             assert not (powers[i] & powers[j]).any()

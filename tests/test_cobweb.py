@@ -147,6 +147,15 @@ def test_leq_examples():
         leq(p, 0, 1)
     with pytest.raises(ValueError):
         leq(p, 1, 17)
+    with pytest.raises(ValueError):
+        leq(p, 0, 0)  # x == y is answered only after the range check
+
+
+def test_leq_does_not_build_the_zeta():
+    p = build_cobweb([1, 2, 3, 4, 5, 1])
+    answers = [leq(p, x, y) for x in range(1, 17) for y in range(1, 17)]
+    assert "zeta" not in p.__dict__
+    assert answers == [bool(v) for v in zeta_matrix(p).flat]
 
 
 def test_leq_agrees_with_zeta_and_block_composition():

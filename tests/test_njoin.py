@@ -87,10 +87,12 @@ def test_embed_biadjacency_examples():
 
 
 def test_adjacency_matrix_block_form_enforced():
-    bad = np.zeros((3, 3), dtype=bool)
-    bad[2, 0] = True  # below the block
-    with pytest.raises(ValueError):
-        AdjacencyMatrix(bad, 1, 2)
+    # a stray 1 left of the block, below it and below-right of it
+    for cell in ((0, 0), (2, 0), (2, 2)):
+        bad = np.zeros((3, 3), dtype=bool)
+        bad[cell] = True
+        with pytest.raises(ValueError, match="outside the top-right"):
+            AdjacencyMatrix(bad, 1, 2)
     with pytest.raises(ValueError):
         AdjacencyMatrix(np.zeros((3, 3), dtype=bool), 1, 1)
 
