@@ -117,7 +117,12 @@ def to_text(m: BoolMatrix) -> str:
     string.
     """
     m = as_bool_matrix(m)
-    return "".join(" ".join("1" if x else "0" for x in row) + "\n" for row in m)
+    rows, cols = m.shape
+    # one byte per character: each entry "0"/"1" is followed by " " or "\n"
+    buf = np.full((rows, max(2 * cols, 1)), ord(" "), dtype=np.uint8)
+    np.add(m, np.uint8(ord("0")), out=buf[:, 0 : 2 * cols : 2])
+    buf[:, -1] = ord("\n")
+    return buf.tobytes().decode("ascii")
 
 
 def from_text(text: str) -> BoolMatrix:

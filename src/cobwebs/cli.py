@@ -17,7 +17,9 @@ import argparse
 import json
 import os
 import sys
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from . import boolmat, cobweb, digraph, ferrers, njoin
 from .fseq import FSequence
@@ -95,16 +97,40 @@ def _build_cobweb(args: argparse.Namespace) -> cobweb.CobwebPoset:
     return cobweb.build_cobweb(_sizes(FSequence.parse(args.seq), args.levels))
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: str | Iterable[str], out: Optional[str]) -> None:
+    """Write the text, or its pieces in order, to --out or stdout."""
+    pieces = [text] if isinstance(text, str) else text
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _json_grid_pieces(m: np.ndarray, block_rows: int = 256) -> Iterator[str]:
+    """``_json_text(m.astype(int).tolist())`` in row blocks, without Python ints.
+
+    With ``indent=2`` each entry of a row is a fixed-width line, "    d,"
+    then newline, the last one without its comma, so a block of rows is
+    one uint8 buffer with the digits written in.
+    """
+    rows, cols = m.shape
+    if not m.size:
+        yield _json_text(m.astype(int).tolist())
+        return
+    row = np.frombuffer((b"  [\n" + b"    0,\n" * cols)[:-2] + b"\n  ],\n", dtype=np.uint8)
+    yield "[\n"
+    for start in range(0, rows, block_rows):
+        block = m[start : start + block_rows]
+        buf = np.tile(row, (len(block), 1))
+        buf[:, 8 : 7 * cols + 8 : 7] += block
+        text = buf.tobytes().decode("ascii")
+        yield text[:-2] if start + block_rows >= rows else text
+    yield "\n]\n"
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -128,7 +154,7 @@ def _cmd_zeta(args) -> int:
     d = _resolve_digraph(args)
     z = digraph.transitive_closure(d).leq
     if args.format == "json":
-        _emit(_json_text(z.astype(int).tolist()), args.out)
+        _emit(_json_grid_pieces(z), args.out)
     else:
         _emit(boolmat.to_text(z), args.out)
     return 0

@@ -146,17 +146,15 @@ def verify_dim2(
 
     For all x != y the poset must have x <= y exactly when x precedes y
     in both orders.  True for every complete cobweb; fails e.g. for a
-    corrupted L2 without the per-level reversal.
+    corrupted L2 without the per-level reversal.  A realizer of the
+    wrong length is rejected before any closure is built.
     """
-    if isinstance(p, CobwebPoset):
-        z = p.zeta
-    else:
-        z = transitive_closure(p).leq
     if r is None:
         r = realizer(p)
-    n = z.shape[0]
+    n = p.n_vertices
     if len(r.l1) != n:
         raise ValueError(f"realizer covers {len(r.l1)} vertices, poset has {n}")
+    z = p.zeta if isinstance(p, CobwebPoset) else transitive_closure(p).leq
     pos1, pos2 = np.argsort(r.l1), np.argsort(r.l2)  # pos[v - 1]: v's place
     both = (pos1[:, None] < pos1) & (pos2[:, None] < pos2)
     np.fill_diagonal(both, True)

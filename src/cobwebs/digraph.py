@@ -12,7 +12,15 @@ the columns of the non-initial ones it is that direct sum.
 
 The poset associated to a graded digraph is its reflexive-transitive
 closure; a digraph is transitive-irreducible (a Hasse diagram) when the
-transitive reduction leaves it unchanged.
+transitive reduction leaves it unchanged.  Every arc of a graded digraph
+joins level k to level k + 1, so level i reaches level j > i exactly
+through the block product B_i (c) ... (c) B_{j-1}: its closure is one
+sweep of level-sized row panels along the blocks, never an n x n product.
+Raw adjacency matrices have no levels and close by repeated squaring.
+
+``Poset(z)`` validates a user-supplied zeta matrix in full (one n^3
+transitivity product); ``transitive_closure`` wraps the closures it
+builds itself without that check, since they are orders by construction.
 """
 
 from __future__ import annotations
@@ -112,10 +120,19 @@ class GradedDigraph:
 class Poset:
     """A finite poset given by its zeta matrix (the Boolean matrix of <=).
 
-    The matrix is validated to be reflexive, antisymmetric and transitive.
+    ``Poset(z)`` validates the matrix to be reflexive, antisymmetric and
+    transitive; ``transitive_closure`` builds its results unchecked.
     """
 
     leq: np.ndarray
+
+    @classmethod
+    def _trusted(cls, z: BoolMatrix) -> "Poset":
+        """Wrap a zeta matrix this module built, freezing it in place unchecked."""
+        p = object.__new__(cls)
+        z.flags.writeable = False
+        object.__setattr__(p, "leq", z)
+        return p
 
     def __post_init__(self) -> None:
         z = _freeze(as_bool_matrix(self.leq))
@@ -158,19 +175,42 @@ def _strict_closure_checked(a: BoolMatrix) -> BoolMatrix:
         raise ValueError(f"input digraph is cyclic (vertex {v} reaches itself)")
     return strict
 
+
+def _level_sweep_zeta(d: GradedDigraph) -> BoolMatrix:
+    """Zeta matrix of a graded digraph, one row panel per level.
+
+    Level i's panel starts as B_i (level i to level i + 1) and moves on
+    as panel (c) B_j, landing in the (level i, level j + 1) block of z.
+    Once a panel is empty no later level is reachable from level i.
+    """
+    offsets, levels, blocks = d.level_offsets, d.levels, d.blocks
+    z = np.zeros((d.n_vertices,) * 2, dtype=bool)
+    np.fill_diagonal(z, True)
+    for i, panel in enumerate(blocks):
+        rows = slice(offsets[i], offsets[i] + levels[i])
+        for j in range(i + 1, len(levels)):
+            if not panel.any():
+                break
+            z[rows, offsets[j] : offsets[j] + levels[j]] = panel
+            if j < len(blocks):
+                panel = bool_product(panel, blocks[j])
+    return z
+
+
 def transitive_closure(d: GradedDigraph | BoolMatrix) -> Poset:
     """The poset associated to an acyclic digraph.
 
-    Accepts a graded digraph (acyclic by construction) or a raw square
-    adjacency matrix, which is rejected if cyclic.  The result's ``leq``
-    is the reflexive-transitive closure, i.e. the zeta matrix.
+    Accepts a graded digraph (acyclic by construction), closed by the
+    level sweep of its blocks, or a raw square adjacency matrix, closed
+    by repeated squaring and rejected if cyclic.  The result's ``leq`` is
+    the reflexive-transitive closure, i.e. the zeta matrix; it is an
+    order by construction, so the ``Poset`` is built without re-checking.
     """
     if isinstance(d, GradedDigraph):
-        a = global_adjacency(d)
-    else:
-        a = as_bool_matrix(d)
-    strict = _strict_closure_checked(a)
-    return Poset(strict | identity(strict.shape[0]))
+        return Poset._trusted(_level_sweep_zeta(d))
+    z = _strict_closure_checked(as_bool_matrix(d))
+    np.fill_diagonal(z, True)
+    return Poset._trusted(z)
 
 
 def transitive_reduction(a: BoolMatrix) -> BoolMatrix:

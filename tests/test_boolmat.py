@@ -182,6 +182,12 @@ def test_text_format_exact():
     assert boolmat.to_text(boolmat.zeros_matrix(0, 0)) == ""
 
 
+@given(bool_matrices())
+def test_text_matches_the_per_entry_join(m):
+    expected = "".join(" ".join("1" if x else "0" for x in row) + "\n" for row in m)
+    assert boolmat.to_text(m) == expected
+
+
 @given(bool_matrices(min_rows=1, min_cols=1))
 def test_text_roundtrip(m):
     assert np.array_equal(boolmat.from_text(boolmat.to_text(m)), m)

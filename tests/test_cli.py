@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
-from cobwebs import cli
+from cobwebs import cli, digraph
+from cobwebs.cobweb import build_cobweb
+from cobwebs.fseq import FSequence
 
 from conftest import golden_text
 
@@ -187,6 +190,26 @@ def test_zeta_json_format(capsys):
     status, out, _ = run(capsys, "zeta", "--seq", "explicit:1,2", "--format", "json")
     assert status == 0
     assert json.loads(out) == [[1, 1, 1], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 256])
+def test_json_grid_pieces_match_json_dumps(block_rows):
+    rng = np.random.default_rng(block_rows)
+    for rows, cols in [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (7, 7), (9, 4)]:
+        m = rng.random((rows, cols)) < 0.5
+        expected = json.dumps(m.astype(int).tolist(), indent=2, sort_keys=True) + "\n"
+        assert "".join(cli._json_grid_pieces(m, block_rows)) == expected
+
+
+def test_zeta_json_bytes_match_json_dumps(capsys, tmp_path):
+    argv = ["zeta", "--seq", "fibonacci", "--levels", "7", "--format", "json"]
+    status, out, _ = run(capsys, *argv)
+    assert status == 0
+    z = digraph.transitive_closure(build_cobweb(FSequence.fibonacci(), 7).hasse).leq
+    assert out == json.dumps(z.astype(int).tolist(), indent=2, sort_keys=True) + "\n"
+    path = tmp_path / "zeta.json"
+    assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+    assert path.read_text(encoding="utf-8") == out
 
 
 def test_usage_errors_exit_2(capsys):

@@ -6,7 +6,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from cobwebs import boolmat
+from cobwebs import boolmat, cobweb
 from cobwebs.cobweb import (
     CobwebPoset,
     Realizer,
@@ -190,6 +190,29 @@ def test_verify_dim2_for_builtin_cobwebs():
 
 def test_verify_dim2_single_vertex():
     assert verify_dim2(build_cobweb([1]))
+
+
+def test_verify_dim2_checks_the_realizer_length_before_any_closure(monkeypatch):
+    def no_closure(*args, **kwargs):
+        raise AssertionError("closure built before the realizer was checked")
+
+    monkeypatch.setattr(cobweb, "transitive_closure", no_closure)
+    monkeypatch.setattr(cobweb, "closure_series", no_closure)
+    short = realizer(build_cobweb([1, 2]))
+    for p in (build_cobweb([1, 2, 3]), build_cobweb([1, 2, 3]).hasse):
+        with pytest.raises(ValueError, match="realizer covers 3 vertices, poset has 6"):
+            verify_dim2(p, short)
+
+
+def test_cap_sized_closure_is_the_staircase():
+    # n = 9870, just under the command line's default COBWEB_MAX_VERTICES
+    d = build_cobweb(FSequence.naturals(), 140).hasse
+    level = np.repeat(np.arange(len(d.levels)), d.levels)
+    staircase = level[:, None] < level
+    np.fill_diagonal(staircase, True)
+    assert np.array_equal(transitive_closure(d).leq, staircase)
+    del staircase
+    assert verify_dim2(d)
 
 
 def test_verify_dim2_rejects_unreversed_l2():

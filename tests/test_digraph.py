@@ -112,6 +112,51 @@ def test_closure_equals_warshall_on_graded_and_permuted_dags(kind, rnd):
     assert np.array_equal(p.leq, warshall_closure(a, reflexive=True))
 
 
+@pytest.mark.parametrize("kind", ["graded", "deleted-arcs", "fibonacci-tree"])
+def test_graded_closure_multiplies_only_level_sized_operands(monkeypatch, kind):
+    rows = []
+    original = boolmat.bool_product
+
+    def recording(a, b):
+        rows.extend((len(a), len(b)))
+        return original(a, b)
+
+    monkeypatch.setattr(boolmat, "bool_product", recording)
+    monkeypatch.setattr(digraph, "bool_product", recording)
+    rng = random.Random(kind)
+    for _ in range(30):
+        d = rand_closure_input(rng, kind)
+        rows.clear()
+        digraph.transitive_closure(d)
+        assert max(rows, default=0) <= max(d.levels)
+    d = build_cobweb([1, 2, 3, 4, 5, 1]).hasse
+    rows.clear()
+    digraph.transitive_closure(d)
+    assert rows and max(rows) <= 5
+
+
+def test_closure_skips_the_validating_poset_constructor(monkeypatch):
+    def refuse(self):
+        raise AssertionError("Poset validation ran on a library-built closure")
+
+    monkeypatch.setattr(Poset, "__post_init__", refuse)
+    rng = random.Random(8)
+    for kind in CLOSURE_INPUT_KINDS:
+        d = rand_closure_input(rng, kind)
+        p = digraph.transitive_closure(d)
+        assert not p.leq.flags.writeable
+        assert p == digraph.transitive_closure(d)
+    monkeypatch.undo()
+    z = digraph.transitive_closure(build_cobweb([1, 2, 2]).hasse).leq
+    assert Poset(z) == Poset(z.copy())
+    for (i, j), broken in [((0, 0), "reflexive"), ((1, 0), "antisymmetric"),
+                           ((0, 3), "transitive")]:
+        bad = z.copy()
+        bad[i, j] = not bad[i, j]
+        with pytest.raises(ValueError, match=broken):
+            Poset(bad)
+
+
 def test_closure_rejects_cycles():
     cycle = np.array([[0, 1], [1, 0]], dtype=bool)
     with pytest.raises(ValueError, match="cyclic"):
