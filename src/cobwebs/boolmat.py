@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 BoolMatrix = np.ndarray
+ROW_BLOCK = 256  # rows per block where a whole n x n temporary is avoided
 
 
 def as_bool_matrix(rows: Sequence[Sequence[int]] | np.ndarray) -> BoolMatrix:

@@ -111,7 +111,13 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _json_grid_pieces(m: np.ndarray, block_rows: int = 256) -> Iterator[str]:
+def _text_grid_pieces(m: np.ndarray, block_rows: int = boolmat.ROW_BLOCK) -> Iterator[str]:
+    """``boolmat.to_text(m)`` in row blocks, so the grid is never one string."""
+    for start in range(0, len(m), block_rows):
+        yield boolmat.to_text(m[start : start + block_rows])
+
+
+def _json_grid_pieces(m: np.ndarray, block_rows: int = boolmat.ROW_BLOCK) -> Iterator[str]:
     """``_json_text(m.astype(int).tolist())`` in row blocks, without Python ints.
 
     With ``indent=2`` each entry of a row is a fixed-width line, "    d,"
@@ -146,7 +152,7 @@ def _cmd_hasse(args) -> int:
     if args.format == "json":
         _emit(_json_text(digraph.digraph_to_json(d)), args.out)
     else:
-        _emit(boolmat.to_text(digraph.global_adjacency(d)), args.out)
+        _emit(_text_grid_pieces(digraph.global_adjacency(d)), args.out)
     return 0
 
 
@@ -156,7 +162,7 @@ def _cmd_zeta(args) -> int:
     if args.format == "json":
         _emit(_json_grid_pieces(z), args.out)
     else:
-        _emit(boolmat.to_text(z), args.out)
+        _emit(_text_grid_pieces(z), args.out)
     return 0
 
 
@@ -237,7 +243,7 @@ def _cmd_fibtree(args) -> int:
     if args.format == "dot":
         _emit(digraph.to_dot(d, rank_by_level=True), args.out)
     elif args.format == "text":
-        _emit(boolmat.to_text(digraph.global_adjacency(d)), args.out)
+        _emit(_text_grid_pieces(digraph.global_adjacency(d)), args.out)
     else:
         _emit(_json_text(digraph.digraph_to_json(d)), args.out)
     return 0

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .boolmat import BoolMatrix, closure_series, ones_matrix
+from .boolmat import ROW_BLOCK, BoolMatrix, closure_series, ones_matrix
 from .digraph import GradedDigraph, global_adjacency, transitive_closure
 from .fseq import FSequence, level_size
 
@@ -156,9 +156,14 @@ def verify_dim2(
         raise ValueError(f"realizer covers {len(r.l1)} vertices, poset has {n}")
     z = p.zeta if isinstance(p, CobwebPoset) else transitive_closure(p).leq
     pos1, pos2 = np.argsort(r.l1), np.argsort(r.l2)  # pos[v - 1]: v's place
-    both = (pos1[:, None] < pos1) & (pos2[:, None] < pos2)
-    np.fill_diagonal(both, True)
-    return bool(np.array_equal(both, z))
+    for start in range(0, n, ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        both = pos1[rows, None] < pos1
+        both &= pos2[rows, None] < pos2
+        np.fill_diagonal(both[:, start:], True)
+        if not np.array_equal(both, z[rows]):
+            return False
+    return True
 
 
 def count_paths(p: CobwebPoset | GradedDigraph, x: int, y: int) -> int:

@@ -16,7 +16,8 @@ transitive reduction leaves it unchanged.  Every arc of a graded digraph
 joins level k to level k + 1, so level i reaches level j > i exactly
 through the block product B_i (c) ... (c) B_{j-1}: its closure is one
 sweep of level-sized row panels along the blocks, never an n x n product.
-Raw adjacency matrices have no levels and close by repeated squaring.
+Raw adjacency matrices have no levels; one row sweep in reverse
+topological order closes and reduces them together.
 
 ``Poset(z)`` validates a user-supplied zeta matrix in full (one n^3
 transitivity product); ``transitive_closure`` wraps the closures it
@@ -167,13 +168,35 @@ def chain_biadjacency(d: GradedDigraph) -> BoolMatrix:
     return direct_sum(d.blocks)
 
 
-def _strict_closure_checked(a: BoolMatrix) -> BoolMatrix:
-    """Strict transitive closure, rejecting cyclic inputs."""
-    strict = closure_series(a, reflexive=False)
-    if strict.diagonal().any():
-        v = int(np.nonzero(strict.diagonal())[0][0]) + 1
+def _dag_sweep(a: BoolMatrix) -> tuple[BoolMatrix, BoolMatrix]:
+    """Strict transitive closure and transitive reduction of a square DAG.
+
+    In reverse Kahn order each row is its arcs OR its successors' closed
+    rows; an arc is redundant exactly when its head is reached through
+    another successor (Goralcikova and Koubek, MFCS 1979).  On a cycle,
+    only the vertices Kahn left out are closed, to name the smallest.
+    """
+    n = a.shape[0]
+    if n != a.shape[1]:
+        raise ValueError(f"adjacency matrix must be square, got {a.shape}")
+    succ = [np.flatnonzero(row) for row in a]
+    indeg = a.sum(axis=0)
+    order = list(np.flatnonzero(indeg == 0))
+    for v in order:  # grows while it is read: Kahn's queue
+        indeg[succ[v]] -= 1
+        order.extend(succ[v][indeg[succ[v]] == 0])
+    if len(order) < n:
+        left = np.setdiff1d(np.arange(n), order)
+        on_cycle = closure_series(a[np.ix_(left, left)], reflexive=False).diagonal()
+        v = int(left[on_cycle.argmax()]) + 1
         raise ValueError(f"input digraph is cyclic (vertex {v} reaches itself)")
-    return strict
+    strict = np.zeros_like(a)
+    reduced = np.zeros_like(a)
+    for v in reversed(order):
+        via = strict[succ[v]].any(axis=0)
+        strict[v] = a[v] | via
+        reduced[v] = a[v] & ~via
+    return strict, reduced
 
 
 def _level_sweep_zeta(d: GradedDigraph) -> BoolMatrix:
@@ -202,13 +225,14 @@ def transitive_closure(d: GradedDigraph | BoolMatrix) -> Poset:
 
     Accepts a graded digraph (acyclic by construction), closed by the
     level sweep of its blocks, or a raw square adjacency matrix, closed
-    by repeated squaring and rejected if cyclic.  The result's ``leq`` is
-    the reflexive-transitive closure, i.e. the zeta matrix; it is an
-    order by construction, so the ``Poset`` is built without re-checking.
+    by one reverse-topological row sweep and rejected if cyclic.  The
+    result's ``leq`` is the reflexive-transitive closure, i.e. the zeta
+    matrix; it is an order by construction, so the ``Poset`` is built
+    without re-checking.
     """
     if isinstance(d, GradedDigraph):
         return Poset._trusted(_level_sweep_zeta(d))
-    z = _strict_closure_checked(as_bool_matrix(d))
+    z = _dag_sweep(as_bool_matrix(d))[0]
     np.fill_diagonal(z, True)
     return Poset._trusted(z)
 
@@ -217,14 +241,10 @@ def transitive_reduction(a: BoolMatrix) -> BoolMatrix:
     """Minimal sub-digraph of a DAG with the same transitive closure.
 
     An arc (x, y) is redundant exactly when some directed path of length
-    >= 2 joins x to y; those are the entries of C (c) C for C the strict
-    closure.
+    >= 2 joins x to y, i.e. when y is reached from another successor of
+    x; one reverse-topological sweep finds them (see ``_dag_sweep``).
     """
-    a = as_bool_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"adjacency matrix must be square, got {a.shape}")
-    strict = _strict_closure_checked(a)
-    return a & ~bool_product(strict, strict)
+    return _dag_sweep(as_bool_matrix(a))[1]
 
 
 def is_transitive_irreducible(a: BoolMatrix) -> bool:

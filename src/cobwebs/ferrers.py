@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .boolmat import BoolMatrix, as_bool_matrix, identity
+from .boolmat import ROW_BLOCK, BoolMatrix, as_bool_matrix
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,12 @@ def is_ferrers(b: BoolMatrix) -> bool:
     ``has_perm2x2(b) is None`` on every matrix.
     """
     b = as_bool_matrix(b)
-    nested = b[np.argsort(-b.sum(axis=1), kind="stable")]
-    return not (nested[1:] & ~nested[:-1]).any()
+    order = np.argsort(-b.sum(axis=1), kind="stable")
+    for start in range(0, len(order) - 1, ROW_BLOCK):  # overlapping by one row
+        nested = b[order[start : start + ROW_BLOCK + 1]]
+        if (nested[1:] > nested[:-1]).any():  # an entry the row before lacks
+            return False
+    return True
 
 
 def strict_order_is_ferrers(z: BoolMatrix) -> bool:
@@ -114,7 +118,9 @@ def strict_order_is_ferrers(z: BoolMatrix) -> bool:
     z = as_bool_matrix(z)
     if z.shape[0] != z.shape[1]:
         raise ValueError(f"order matrix must be square, got {z.shape}")
-    return is_ferrers(z & ~identity(z.shape[0]))
+    strict = z.copy()
+    np.fill_diagonal(strict, False)
+    return is_ferrers(strict)
 
 
 def chain_is_ferrers(blocks: Sequence[BoolMatrix]) -> ChainFerrersResult:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cobwebs import cli, digraph
+from cobwebs import boolmat, cli, digraph
 from cobwebs.cobweb import build_cobweb
 from cobwebs.fseq import FSequence
 
@@ -199,6 +199,14 @@ def test_json_grid_pieces_match_json_dumps(block_rows):
         m = rng.random((rows, cols)) < 0.5
         expected = json.dumps(m.astype(int).tolist(), indent=2, sort_keys=True) + "\n"
         assert "".join(cli._json_grid_pieces(m, block_rows)) == expected
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 256])
+def test_text_grid_pieces_match_to_text(block_rows):
+    rng = np.random.default_rng(block_rows)
+    for rows, cols in [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (7, 7), (9, 4)]:
+        m = rng.random((rows, cols)) < 0.5
+        assert "".join(cli._text_grid_pieces(m, block_rows)) == boolmat.to_text(m)
 
 
 def test_zeta_json_bytes_match_json_dumps(capsys, tmp_path):

@@ -215,6 +215,16 @@ def test_cap_sized_closure_is_the_staircase():
     assert verify_dim2(d)
 
 
+def test_verify_dim2_finds_a_defect_past_the_first_row_block():
+    p = build_cobweb(FSequence.naturals(), 30)  # n = 465
+    assert p.n_vertices > boolmat.ROW_BLOCK
+    r = realizer(p)
+    last = p.levels[-1]
+    l2 = r.l2[:-last] + tuple(sorted(r.l2[-last:]))  # last level not reversed
+    assert not verify_dim2(p, Realizer(r.l1, l2))
+    assert verify_dim2(p.hasse, r)
+
+
 def test_verify_dim2_rejects_unreversed_l2():
     p = build_cobweb([1, 2, 2])
     l1 = realizer(p).l1

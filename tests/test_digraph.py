@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -214,8 +215,11 @@ def test_reduce_close_reduce_is_reduce():
 
 
 def test_empty_digraph_is_irreducible():
-    assert digraph.is_transitive_irreducible(boolmat.zeros_matrix(0, 0))
-    assert digraph.is_transitive_irreducible(boolmat.zeros_matrix(3, 3))
+    for n in (0, 1, 3):
+        a = boolmat.zeros_matrix(n, n)
+        assert digraph.is_transitive_irreducible(a)
+        assert np.array_equal(digraph.transitive_reduction(a), a)
+        assert np.array_equal(digraph.transitive_closure(a).leq, boolmat.identity(n))
 
 
 def test_to_dot_small():
@@ -248,3 +252,93 @@ def test_json_roundtrip():
         assert again == d
     with pytest.raises(ValueError):
         digraph.digraph_from_json({"levels": [1, 2]})
+
+
+def warshall_reduction(a: np.ndarray) -> np.ndarray:
+    """Arcs not implied by a path of length >= 2, by an integer product of
+    Warshall strict closures."""
+    c = warshall_closure(a).astype(int)
+    return a & ~((c @ c) > 0)
+
+
+def permuted(rng: random.Random, a: np.ndarray) -> np.ndarray:
+    perm = list(range(a.shape[0]))
+    rng.shuffle(perm)
+    return a[np.ix_(perm, perm)]
+
+
+RAW_DAG_KINDS = ("permuted-dag", "complete", "isolated")
+
+
+def rand_raw_dag(rng: random.Random, kind: str) -> np.ndarray:
+    """A raw acyclic adjacency: random, complete, or a random DAG padded
+    with isolated vertices, always relabelled by a random permutation."""
+    n = rng.randint(0, 16)
+    if kind == "complete":
+        return permuted(rng, np.triu(np.ones((n, n), dtype=bool), 1))
+    a = rand_dag(rng, n, rng.random())
+    if kind == "isolated":
+        a = np.pad(a, (0, rng.randint(1, 5)))
+    return permuted(rng, a)
+
+
+@given(st.sampled_from(RAW_DAG_KINDS), st.randoms(use_true_random=False))
+def test_raw_closure_and_reduction_match_warshall(kind, rnd):
+    a = rand_raw_dag(rnd, kind)
+    assert np.array_equal(digraph.transitive_closure(a).leq, warshall_closure(a, reflexive=True))
+    red = digraph.transitive_reduction(a)
+    assert np.array_equal(red, warshall_reduction(a))
+    assert digraph.is_transitive_irreducible(red)
+    assert digraph.is_transitive_irreducible(a) == np.array_equal(red, a)
+
+
+def arcs_matrix(n: int, arcs) -> np.ndarray:
+    a = np.zeros((n, n), dtype=bool)
+    for u, v in arcs:
+        a[u - 1, v - 1] = True
+    return a
+
+
+@pytest.mark.parametrize("n, arcs, vertex", [
+    (3, [(1, 2), (2, 2)], 2),                  # self-loop
+    (2, [(1, 2), (2, 1)], 1),                  # 2-cycle
+    (4, [(1, 2), (3, 4), (4, 3)], 3),          # cycle after an acyclic prefix
+    (4, [(3, 4), (4, 3), (4, 1), (1, 2)], 3),  # smaller vertices only below the cycle
+    (6, [(6, 5), (5, 4), (4, 6), (2, 3), (3, 2), (1, 2)], 2),
+])
+def test_cyclic_input_names_the_smallest_vertex_on_a_cycle(n, arcs, vertex):
+    a = arcs_matrix(n, arcs)
+    message = f"input digraph is cyclic (vertex {vertex} reaches itself)"
+    for op in (digraph.transitive_closure, digraph.transitive_reduction,
+               digraph.is_transitive_irreducible):
+        with pytest.raises(ValueError) as info:
+            op(a)
+        assert str(info.value) == message
+
+
+def test_raw_acyclic_input_needs_no_matrix_product(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a matrix product or squaring closure ran on a raw DAG")
+
+    for module in (boolmat, digraph):
+        monkeypatch.setattr(module, "bool_product", refuse)
+        monkeypatch.setattr(module, "closure_series", refuse)
+    rng = random.Random(41)
+    for kind in RAW_DAG_KINDS * 10:
+        a = rand_raw_dag(rng, kind)
+        digraph.transitive_closure(a)
+        digraph.transitive_reduction(a)
+        digraph.is_transitive_irreducible(a)
+
+
+def test_naturals_cobweb_adjacency_is_its_own_reduction_at_scale():
+    a = digraph.global_adjacency(build_cobweb(list(range(1, 41))).hasse)
+    assert a.shape == (820, 820)
+    start = time.perf_counter()
+    assert digraph.is_transitive_irreducible(a)
+    z = digraph.transitive_closure(a).leq
+    elapsed = time.perf_counter() - start
+    level = np.repeat(np.arange(40), np.arange(1, 41))
+    assert np.array_equal(z, (level[:, None] < level) | np.eye(820, dtype=bool))
+    # the sweep costs about arcs x n (tens of ms here); an n^3 closure takes seconds
+    assert elapsed < 2.0, f"reduction and closure at n=820 took {elapsed:.2f}s"

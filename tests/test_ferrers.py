@@ -69,6 +69,18 @@ def test_is_ferrers_examples():
     assert is_ferrers(boolmat.zeros_matrix(0, 0))
 
 
+def test_is_ferrers_checks_the_pair_across_a_row_block_boundary():
+    n, k = boolmat.ROW_BLOCK + 10, boolmat.ROW_BLOCK - 1
+    b = np.arange(n) < (n - np.arange(n))[:, None]  # row i: the first n - i columns
+    assert is_ferrers(b)
+    # row k + 1 keeps its size but takes a column row k lacks; it still
+    # contains row k + 2, so sorted rows k, k + 1 are the only bad pair
+    b[k + 1, n - k - 2] = False
+    b[k + 1, n - k] = True
+    assert not is_ferrers(b)
+    assert has_perm2x2(b) is not None
+
+
 @given(small_bool_matrices())
 def test_is_ferrers_iff_no_perm2x2(b):
     witness = has_perm2x2(b)
