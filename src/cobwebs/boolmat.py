@@ -82,12 +82,7 @@ def closure_series(a: BoolMatrix, reflexive: bool = True) -> BoolMatrix:
     return acc | identity(n) if reflexive else acc
 
 
-def direct_sum(blocks: Iterable[BoolMatrix]) -> BoolMatrix:
-    """Block-diagonal matrix with the given blocks, zeros elsewhere."""
-    blocks = [as_bool_matrix(b) for b in blocks]
-    rows = sum(b.shape[0] for b in blocks)
-    cols = sum(b.shape[1] for b in blocks)
-    out = np.zeros((rows, cols), dtype=bool)
+def _place(out: BoolMatrix, blocks: Sequence[BoolMatrix]) -> BoolMatrix:
     r = c = 0
     for b in blocks:
         out[r : r + b.shape[0], c : c + b.shape[1]] = b
@@ -96,17 +91,24 @@ def direct_sum(blocks: Iterable[BoolMatrix]) -> BoolMatrix:
     return out
 
 
+def direct_sum(blocks: Iterable[BoolMatrix]) -> BoolMatrix:
+    """Block-diagonal matrix with the given blocks, zeros elsewhere."""
+    blocks = [as_bool_matrix(b) for b in blocks]
+    shape = (sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks))
+    return _place(np.zeros(shape, dtype=bool), blocks)
+
+
 def chain_adjacency(blocks: Iterable[BoolMatrix], first: int) -> BoolMatrix:
     """Square adjacency matrix of a chain of level blocks on its super-diagonal.
 
     Block t joins level t to level t + 1 and ``first`` is the size of
     level 0.  The result is ``direct_sum(blocks)`` shifted right by
-    ``first`` columns: rows of all but the last level, columns of all but
-    the first.
+    ``first`` columns, but rendered in one allocation: each block is
+    written straight into the square.
     """
-    s = direct_sum(blocks)
-    out = np.zeros((first + s.shape[1],) * 2, dtype=bool)
-    out[: s.shape[0], first:] = s
+    blocks = [as_bool_matrix(b) for b in blocks]
+    out = np.zeros((first + sum(b.shape[1] for b in blocks),) * 2, dtype=bool)
+    _place(out[:, first:], blocks)
     return out
 
 

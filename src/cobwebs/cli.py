@@ -74,20 +74,16 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DomainError(f"{path} is not valid JSON: {exc}")
-
-
-def _load_digraph(path: str) -> digraph.GradedDigraph:
-    d = digraph.digraph_from_json(_load_json(path))
-    _check_size(d.levels)
-    return d
 
 
 def _resolve_digraph(args: argparse.Namespace) -> digraph.GradedDigraph:
     """A graded digraph from --from, or a cobweb from --seq/--levels."""
     if getattr(args, "from_path", None):
-        return _load_digraph(args.from_path)
+        d = digraph.digraph_from_json(_load_json(args.from_path))
+        _check_size(d.levels)
+        return d
     return _build_cobweb(args).hasse
 
 

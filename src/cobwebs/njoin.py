@@ -12,9 +12,9 @@ while the reduced composition projects the middle set away,
     [(k+m) x (k+m)]  compose  [(m+s) x (m+s)]  =  [(k+s) x (k+s)],
 
 its biadjacency block being the Boolean product of the operands' blocks.
-Every square form here follows one placement rule (``chain_adjacency``):
-the direct sum of the biadjacency blocks shifted right by the size of the
-first set, for one block, two, or a whole chain.
+An ``AdjacencyMatrix`` holds only its block, and every square form here is
+rendered from blocks by ``chain_adjacency``: the direct sum of the blocks
+shifted right by the size of the first set, for one block, two or a chain.
 
 Chains of binary relations joined this way encode n-ary relations; the
 reverse direction projects an n-ary relation onto its adjacent-column
@@ -132,53 +132,53 @@ class NaryRelation:
 
 @dataclass(frozen=True, eq=False)
 class AdjacencyMatrix:
-    """Square adjacency matrix of a bipartite digraph, with its (k, m) shape.
+    """Adjacency of a bipartite digraph, held as its k x m biadjacency block.
 
-    Only the top-right k x m block may be nonzero; the shape is carried
-    explicitly because the zero matrix alone does not determine it.
+    The (k+m)-square matrix, zero outside its top-right block, is rendered
+    from the block on request (``mat``); the block's shape fixes (k, m).
     """
 
-    mat: np.ndarray
-    k: int
-    m: int
+    block: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = as_bool_matrix(self.mat).copy()
-        mat.flags.writeable = False
-        object.__setattr__(self, "mat", mat)
-        n = self.k + self.m
-        if self.k < 0 or self.m < 0:
-            raise ValueError(f"shape must be nonnegative, got ({self.k}, {self.m})")
-        if mat.shape != (n, n):
-            raise ValueError(f"matrix shape {mat.shape} != ({n}, {n}) for shape ({self.k}, {self.m})")
-        if mat[self.k :].any() or mat[: self.k, : self.k].any():
-            raise ValueError("entries outside the top-right domain x codomain block")
+        block = as_bool_matrix(self.block).copy()
+        block.flags.writeable = False
+        object.__setattr__(self, "block", block)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AdjacencyMatrix):
             return NotImplemented
-        return (self.k, self.m) == (other.k, other.m) and np.array_equal(self.mat, other.mat)
+        return np.array_equal(self.block, other.block)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.k, self.m)
+        return self.block.shape
+
+    @property
+    def k(self) -> int:
+        return self.block.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.block.shape[1]
+
+    @property
+    def mat(self) -> BoolMatrix:
+        return chain_adjacency([self.block], self.k)
 
 
 def embed_biadjacency(b: BoolMatrix, k: int | None = None, m: int | None = None) -> AdjacencyMatrix:
-    """Place a k x m biadjacency block into its square adjacency matrix."""
+    """The adjacency matrix of a k x m biadjacency block."""
     b = as_bool_matrix(b)
-    if k is None:
-        k = b.shape[0]
-    if m is None:
-        m = b.shape[1]
-    if b.shape != (k, m):
-        raise ValueError(f"biadjacency block is {b.shape}, expected ({k}, {m})")
-    return AdjacencyMatrix(chain_adjacency([b], k), k, m)
+    expected = (b.shape[0] if k is None else k, b.shape[1] if m is None else m)
+    if b.shape != expected:
+        raise ValueError(f"biadjacency block is {b.shape}, expected {expected}")
+    return AdjacencyMatrix(b)
 
 
 def biadjacency_of(a: AdjacencyMatrix) -> BoolMatrix:
-    """The k x m top-right block; inverse of ``embed_biadjacency``."""
-    return a.mat[: a.k, a.k :].copy()
+    """A copy of the k x m block; inverse of ``embed_biadjacency``."""
+    return a.block.copy()
 
 
 def njoin_condition(a1: AdjacencyMatrix, a2: AdjacencyMatrix) -> bool:
@@ -208,13 +208,13 @@ def njoin_fold(mats: Sequence[AdjacencyMatrix]) -> BoolMatrix:
     if not mats:
         raise ValueError("cannot fold an empty chain")
     _check_join_chain(mats)
-    return chain_adjacency([biadjacency_of(a) for a in mats], mats[0].k)
+    return chain_adjacency([a.block for a in mats], mats[0].k)
 
 
 def reduced_composition(a1: AdjacencyMatrix, a2: AdjacencyMatrix) -> AdjacencyMatrix:
     """Compose along the middle set: biadjacency blocks Boolean-multiply."""
     _check_join_chain((a1, a2))
-    return embed_biadjacency(bool_product(biadjacency_of(a1), biadjacency_of(a2)))
+    return AdjacencyMatrix(bool_product(a1.block, a2.block))
 
 
 def _check_middle_set(r: BinaryRelation, s: BinaryRelation) -> None:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from cobwebs import boolmat
 from cobwebs.cobweb import build_cobweb, hasse_matrix
 from cobwebs.digraph import GradedDigraph, global_adjacency
-from cobwebs.fseq import level_sizes
+from cobwebs.fseq import FSequence, level_sizes
 
 from conftest import (
     BUILTIN_SEQUENCES,
@@ -163,6 +164,31 @@ def test_direct_sum():
     expected[0, 0:2] = True
     expected[1:3, 2:5] = True
     assert np.array_equal(two, expected)
+
+
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=6), st.randoms(use_true_random=False))
+def test_chain_adjacency_is_shifted_direct_sum(sizes, rng):
+    # definition: direct_sum(blocks) at rows [:rows], columns [first:] of a zero square
+    blocks = [rand_bool_matrix(rng, r, c) for r, c in zip(sizes, sizes[1:])]
+    s = boolmat.direct_sum(blocks)
+    expected = np.zeros((sum(sizes),) * 2, dtype=bool)
+    expected[: s.shape[0], sizes[0] :] = s
+    assert np.array_equal(boolmat.chain_adjacency(blocks, sizes[0]), expected)
+
+
+def test_chain_adjacency_allocates_one_square():
+    d = build_cobweb(FSequence.parse("naturals"), 60).hasse
+    n = d.n_vertices
+    assert n == 1830
+    tracemalloc.start()
+    try:
+        a = global_adjacency(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a.shape == (n, n)
+    # one n x n bool array; a direct sum copied into the square would be ~2 n^2
+    assert peak < 1.25 * n * n
 
 
 @pytest.mark.parametrize("seq", BUILTIN_SEQUENCES, ids=lambda s: s.kind)

@@ -302,6 +302,19 @@ def test_malformed_digraph_json_is_a_domain_error(capsys, tmp_path, payload):
     assert "bad digraph JSON" in err and "inhomogeneous" not in err
 
 
+@pytest.mark.parametrize("command", [
+    ["zeta", "--from", "{path}"],
+    ["join", "--left", "{path}", "--right", "{path}"],
+    ["decompose", "--from", "{path}"],
+])
+def test_deeply_nested_json_is_a_domain_error(capsys, tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
+    status, out, err = run(capsys, *(a.format(path=path) for a in command))
+    assert status == 1 and out == ""
+    assert f"error: {path} is not valid JSON" in err and "Traceback" not in err
+
+
 def test_digraph_json_arc_entries_are_integers(capsys, tmp_path):
     path = write_json(tmp_path / "bad.json", {"levels": [1, 2], "arcs": [[[True, 1.0]]]})
     status, out, err = run(capsys, "zeta", "--from", path)
