@@ -54,6 +54,7 @@ from .njoin import (
     compose_relations,
     embed_biadjacency,
     is_join_decomposable,
+    join_size,
     njoin_adjacency,
     njoin_condition,
     njoin_digraphs,

@@ -225,7 +225,7 @@ def _cmd_decompose(args) -> int:
     t = njoin.nary_from_json(_load_json(args.from_path))
     chain = njoin.project_chain(t)
     payload = {
-        "decomposable": njoin.is_join_decomposable(t),
+        "decomposable": njoin.join_size(chain) == len(t.tuples),
         "links": [njoin.relation_to_json(r) for r in chain.links],
     }
     _emit(_json_text(payload), args.out)

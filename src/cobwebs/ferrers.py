@@ -4,8 +4,8 @@ A 0/1 matrix is a Ferrers (bi)adjacency matrix when its rows are linearly
 ordered by support inclusion; equivalently, when it contains no 2x2
 permutation submatrix ([[1,0],[0,1]] or [[0,1],[1,0]]).  Both
 characterizations are implemented: ``is_ferrers`` runs the fast nesting
-check and ``has_perm2x2`` scans for an explicit witness, so each can
-serve as the other's oracle.
+check and ``has_perm2x2`` scans for an explicit witness, only in blocks
+that the nesting check rejects.
 
 A chain of bipartite blocks whose every block is Ferrers assembles into a
 graded digraph of Ferrers dimension one; complete cobweb blocks always
@@ -81,9 +81,13 @@ def has_perm2x2(b: BoolMatrix) -> Optional[PermSubmatrixWitness]:
     and another reads (0, 1).  For the first such pair, c1 is the first
     column where the rows differ: a column of the opposite kind must come
     after it, so it opens the pair's smallest witness.  c2 is the first
-    later column of the opposite kind.
+    later column of the opposite kind.  Nested rows, which ``is_ferrers``
+    recognizes at the cost of one sort, hold no witness, so the row-pair
+    scan runs only on blocks that have one.
     """
     b = as_bool_matrix(b)
+    if is_ferrers(b):
+        return None
     for r1 in range(b.shape[0] - 1):
         row, later = b[r1], b[r1 + 1 :]
         incomparable = (row & ~later).any(axis=1) & (~row & later).any(axis=1)

@@ -16,16 +16,20 @@ An ``AdjacencyMatrix`` holds only its block, and every square form here is
 rendered from blocks by ``chain_adjacency``: the direct sum of the blocks
 shifted right by the size of the first set, for one block, two or a chain.
 
-Chains of binary relations joined this way encode n-ary relations; the
-reverse direction projects an n-ary relation onto its adjacent-column
-pairs, and a relation is faithfully encoded by that chain exactly when
-re-joining the projections reproduces it.
+Chains of binary relations joined this way encode n-ary relations: the
+tuples of the join are the maximal paths through the chain's biadjacency
+blocks, and relation composition is their Boolean product.  Relations are
+worked on as integer index blocks, with labels looked up only on the way
+in and out.  The reverse direction projects an n-ary relation onto its
+adjacent-column pairs, and a relation is faithfully encoded by that chain
+exactly when re-joining the projections reproduces it; since that join
+always contains the relation, it is counted as a path count, not built.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,21 +43,39 @@ class FiniteSet:
     """An ordered finite set of distinct labels; order fixes matrix axes."""
 
     labels: tuple[str, ...]
+    _position: dict[str, int] = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         labels = tuple(str(x) for x in self.labels)
         object.__setattr__(self, "labels", labels)
-        if len(set(labels)) != len(labels):
+        position = {label: i for i, label in enumerate(labels)}
+        if len(position) != len(labels):
             raise ValueError(f"labels must be distinct, got {labels}")
+        object.__setattr__(self, "_position", position)
 
     def __len__(self) -> int:
         return len(self.labels)
 
     def __contains__(self, label: str) -> bool:
-        return label in self.labels
+        return label in self._position
 
     def index(self, label: str) -> int:
-        return self.labels.index(label)
+        try:
+            return self._position[label]
+        except KeyError:
+            raise ValueError(f"{label!r} is not in {self.labels}") from None
+
+    def covers(self, labels: Iterable[str]) -> bool:
+        """True when every one of the labels is a member."""
+        return self._position.keys() >= set(labels)
+
+    def positions(self, labels: Sequence[str]) -> np.ndarray:
+        """The positions of member labels, as an index array."""
+        return np.fromiter(map(self._position.__getitem__, labels), dtype=np.intp, count=len(labels))
+
+    def at(self, positions: np.ndarray) -> list[str]:
+        """The labels at an index array of positions."""
+        return np.array(self.labels, dtype=object)[positions].tolist()
 
 
 @dataclass(frozen=True)
@@ -65,12 +87,13 @@ class BinaryRelation:
     pairs: frozenset[tuple[str, str]]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", frozenset(tuple(p) for p in self.pairs))
-        for a, b in self.pairs:
+        object.__setattr__(self, "pairs", frozenset(map(tuple, self.pairs)))
+        bad = [(a, b) for a, b in self.pairs if a not in self.dom or b not in self.ran]
+        if bad:
+            a, b = min(bad)
             if a not in self.dom:
                 raise ValueError(f"pair component {a!r} not in domain {self.dom.labels}")
-            if b not in self.ran:
-                raise ValueError(f"pair component {b!r} not in range {self.ran.labels}")
+            raise ValueError(f"pair component {b!r} not in range {self.ran.labels}")
 
     @classmethod
     def complete(cls, dom: FiniteSet, ran: FiniteSet) -> "BinaryRelation":
@@ -80,8 +103,9 @@ class BinaryRelation:
     def biadjacency(self) -> BoolMatrix:
         """|dom| x |ran| Boolean matrix in label order."""
         b = np.zeros((len(self.dom), len(self.ran)), dtype=bool)
-        for a, c in self.pairs:
-            b[self.dom.index(a), self.ran.index(c)] = True
+        if self.pairs:
+            heads, tails = zip(*self.pairs)
+            b[self.dom.positions(heads), self.ran.positions(tails)] = True
         return b
 
 
@@ -113,17 +137,24 @@ class NaryRelation:
 
     def __post_init__(self) -> None:
         columns = tuple(self.columns)
-        tuples = frozenset(tuple(t) for t in self.tuples)
+        tuples = frozenset(map(tuple, self.tuples))
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "tuples", tuples)
         if not columns:
             raise ValueError("n-ary relation needs at least one column")
-        for t in tuples:
-            if len(t) != len(columns):
-                raise ValueError(f"tuple {t} has arity {len(t)}, expected {len(columns)}")
-            for v, col in zip(t, columns):
-                if v not in col:
-                    raise ValueError(f"tuple component {v!r} not in column {col.labels}")
+        # one pass per column; the tuples are scanned only to name the first bad one
+        if set(map(len, tuples)) <= {len(columns)} and all(
+            map(FiniteSet.covers, columns, zip(*tuples))
+        ):
+            return
+        t = min(
+            t for t in tuples
+            if len(t) != len(columns) or any(v not in col for v, col in zip(t, columns))
+        )
+        if len(t) != len(columns):
+            raise ValueError(f"tuple {t} has arity {len(t)}, expected {len(columns)}")
+        v, col = next((v, col) for v, col in zip(t, columns) if v not in col)
+        raise ValueError(f"tuple component {v!r} not in column {col.labels}")
 
     @property
     def arity(self) -> int:
@@ -249,31 +280,56 @@ def njoin_graded(d1: GradedDigraph, d2: GradedDigraph) -> GradedDigraph:
 
 
 def compose_relations(r: BinaryRelation, s: BinaryRelation) -> BinaryRelation:
-    """Relation composition through the shared middle set."""
+    """Relation composition: the Boolean product of the biadjacency blocks."""
     _check_middle_set(r, s)
-    pairs = frozenset(
-        (x, z) for (x, y) in r.pairs for (y2, z) in s.pairs if y == y2
-    )
-    return BinaryRelation(r.dom, s.ran, pairs)
+    heads, tails = np.nonzero(bool_product(r.biadjacency(), s.biadjacency()))
+    return BinaryRelation(r.dom, s.ran, frozenset(zip(r.dom.at(heads), s.ran.at(tails))))
+
+
+def _chain(chain: RelationChain | Iterable[BinaryRelation]) -> RelationChain:
+    return chain if isinstance(chain, RelationChain) else RelationChain(tuple(chain))
 
 
 def njoin_relations(chain: RelationChain | Iterable[BinaryRelation]) -> NaryRelation:
     """Natural join of a relation chain into one n-ary relation.
 
     Columns are the chained sets and every tuple threads one pair of each
-    link; a single link yields its relation as a 2-ary relation.
+    link; a single link yields its relation as a 2-ary relation.  The
+    tuples are the maximal paths through the chain's biadjacency blocks:
+    index paths are extended one block at a time along each block's
+    successor lists and turned into labels once, at the end, so the cost
+    follows the number of tuples.
     """
-    if not isinstance(chain, RelationChain):
-        chain = RelationChain(tuple(chain))
-    links = chain.links
+    links = _chain(chain).links
     columns = (links[0].dom,) + tuple(link.ran for link in links)
-    tuples: set[tuple[str, ...]] = {pair for pair in links[0].pairs}
+    paths = list(np.nonzero(links[0].biadjacency()))
     for link in links[1:]:
-        by_head: dict[str, list[str]] = {}
-        for v, w in link.pairs:
-            by_head.setdefault(v, []).append(w)
-        tuples = {t + (w,) for t in tuples for w in by_head.get(t[-1], ())}
-    return NaryRelation(columns, frozenset(tuples))
+        block = link.biadjacency()
+        # successor lists in CSR form: row v's successors are tails[starts[v]:][:fanout[v]]
+        _, tails = np.nonzero(block)
+        fanout = block.sum(axis=1)
+        starts = np.cumsum(fanout) - fanout
+        reps = fanout[paths[-1]]
+        parent = np.repeat(np.arange(len(reps)), reps)
+        offset = np.arange(len(parent)) - np.repeat(np.cumsum(reps) - reps, reps)
+        paths = [col[parent] for col in paths]
+        paths.append(tails[starts[paths[-1]] + offset])
+    tuples = zip(*(col.at(path) for col, path in zip(columns, paths)))
+    return NaryRelation(columns, tuples)
+
+
+def join_size(chain: RelationChain | Iterable[BinaryRelation]) -> int:
+    """Number of tuples in the natural join of a chain, counted, not built.
+
+    The tuples are the paths through the biadjacency blocks, so their
+    number is 1^T B_0 ... B_{k-1} 1, pushed as a row vector of exact
+    Python integers.
+    """
+    links = _chain(chain).links
+    row = np.ones(len(links[0].dom), dtype=object)
+    for link in links:
+        row = row @ link.biadjacency().astype(object)
+    return int(row.sum())
 
 
 def project_chain(t: NaryRelation) -> RelationChain:
@@ -290,11 +346,12 @@ def project_chain(t: NaryRelation) -> RelationChain:
 def is_join_decomposable(t: NaryRelation) -> bool:
     """True when re-joining the adjacent-pair projections reproduces t.
 
-    The join of the projections always contains the source tuples; it is
-    exact precisely for relations that their binary chain encodes
-    faithfully.
+    The join of the projections always contains the source tuples, so it
+    equals t exactly when it has |t| tuples; it is counted with
+    ``join_size``, not built.  Exactness holds precisely for relations
+    that their binary chain encodes faithfully.
     """
-    return njoin_relations(project_chain(t)).tuples == t.tuples
+    return join_size(project_chain(t)) == len(t.tuples)
 
 
 # -- JSON wire formats -------------------------------------------------------

@@ -1,4 +1,9 @@
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +19,21 @@ def run(capsys, *argv):
     status = cli.main(list(argv))
     captured = capsys.readouterr()
     return status, captured.out, captured.err
+
+
+def cli_env(**extra):
+    """The environment of a CLI subprocess, with this package on PYTHONPATH."""
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def run_process(*argv, **env):
+    """Run the CLI in a fresh interpreter with extra environment variables."""
+    return subprocess.run(
+        [sys.executable, "-m", "cobwebs.cli", *argv], env=cli_env(**env),
+        capture_output=True, text=True,
+    )
 
 
 def write_json(path, payload):
@@ -174,6 +194,56 @@ def test_decompose_command(capsys, tmp_path):
     assert payload["decomposable"] is True
     assert payload["links"][0]["pairs"] == E1_JSON["pairs"]
     assert payload["links"][1]["pairs"] == E2_JSON["pairs"]
+
+
+# peak RSS of the command run as this script's only child
+RUSAGE_PROBE = """
+import json, resource, subprocess, sys, time
+start = time.perf_counter()
+run = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                     timeout=10)
+print(json.dumps({"status": run.returncode, "stderr": run.stderr,
+                  "seconds": time.perf_counter() - start,
+                  "peak_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024}))
+"""
+
+
+def test_decompose_counts_a_rejoin_too_large_to_build(tmp_path):
+    # five columns of 40 labels: the projections re-join to tens of millions of tuples
+    rng = random.Random(0)
+    columns = [[f"{c}{i}" for i in range(40)] for c in "abcde"]
+    tuples = {tuple(rng.choice(col) for col in columns) for _ in range(3000)}
+    path = write_json(tmp_path / "t.json", {"columns": columns, "tuples": sorted(map(list, tuples))})
+    out = tmp_path / "out.json"
+    probe = subprocess.run(
+        [sys.executable, "-c", RUSAGE_PROBE, sys.executable, "-m", "cobwebs.cli",
+         "decompose", "--from", path, "--out", str(out)],
+        env=cli_env(), capture_output=True, text=True, check=True,
+    )
+    report = json.loads(probe.stdout)
+    assert report["status"] == 0 and report["stderr"] == ""
+    assert report["seconds"] < 2 and report["peak_mb"] < 300
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert payload["decomposable"] is False and len(payload["links"]) == 4
+
+
+@pytest.mark.parametrize("command, payloads", [
+    ("compose", {
+        "left": {"dom": ["a", "b"], "ran": ["z"], "pairs": [[x, "z"] for x in "qrstu"]},
+        "right": {"dom": ["z"], "ran": ["y"], "pairs": []},
+    }),
+    ("decompose", {
+        "from": {"columns": [["a"], ["z"]], "tuples": [[x, "z"] for x in "qrstu"]},
+    }),
+])
+def test_validation_error_names_the_smallest_bad_entry(tmp_path, command, payloads):
+    argv = [command]
+    for flag, payload in payloads.items():
+        argv += [f"--{flag}", write_json(tmp_path / f"{flag}.json", payload)]
+    runs = [run_process(*argv, PYTHONHASHSEED=seed) for seed in ("1", "2")]
+    assert [r.returncode for r in runs] == [1, 1]
+    assert runs[0].stderr == runs[1].stderr
+    assert runs[0].stderr.startswith("error: ") and "'q' not in" in runs[0].stderr
 
 
 def test_fibtree_command(capsys):

@@ -21,6 +21,7 @@ from cobwebs.njoin import (
     compose_relations,
     embed_biadjacency,
     is_join_decomposable,
+    join_size,
     njoin_adjacency,
     njoin_condition,
     njoin_digraphs,
@@ -410,8 +411,64 @@ def test_rejoin_is_extensive():
         assert (rejoined.tuples == t.tuples) == is_join_decomposable(t)
 
 
+@st.composite
+def relation_chains(draw, min_links=1, max_links=4, max_labels=4):
+    """Label sets and their links, each link random, empty or complete."""
+    count = draw(st.integers(min_links, max_links))
+    sizes = draw(st.lists(st.integers(0, max_labels), min_size=count + 1, max_size=count + 1))
+    cols = [labels(string.ascii_lowercase[i], s) for i, s in enumerate(sizes)]
+    links = []
+    for dom, ran in zip(cols, cols[1:]):
+        kind = draw(st.sampled_from(("random", "empty", "complete")))
+        if kind == "complete":
+            links.append(BinaryRelation.complete(dom, ran))
+        elif kind == "empty":
+            links.append(BinaryRelation(dom, ran, frozenset()))
+        else:
+            universe = list(itertools.product(dom.labels, ran.labels))
+            keep = draw(st.lists(st.booleans(), min_size=len(universe), max_size=len(universe)))
+            links.append(BinaryRelation(dom, ran, frozenset(itertools.compress(universe, keep))))
+    return cols, links
+
+
+def compose_oracle(r, s):
+    return {(x, z) for (x, y) in r.pairs for (y2, z) in s.pairs if y == y2}
+
+
+@given(relation_chains())
+def test_join_and_its_size_match_brute_force(chain):
+    cols, links = chain
+    expected = brute_force_join(cols, links)
+    t = njoin_relations(links)
+    assert t.columns == tuple(cols)
+    assert t.tuples == expected
+    assert join_size(links) == len(expected)
+
+
+@given(relation_chains(min_links=2, max_links=2))
+def test_compose_matches_pairwise_oracle(chain):
+    _, links = chain
+    composed = compose_relations(*links)
+    assert (composed.dom, composed.ran) == (links[0].dom, links[1].ran)
+    assert composed.pairs == compose_oracle(*links)
+
+
+@given(relation_chains(), st.data())
+def test_decomposability_matches_brute_force_rejoin(chain, data):
+    cols, _ = chain
+    if not all(cols):
+        return
+    rows = st.tuples(*(st.sampled_from(c.labels) for c in cols))
+    t = NaryRelation(tuple(cols), frozenset(data.draw(st.lists(rows, max_size=12))))
+    rejoined = brute_force_join(cols, project_chain(t).links)
+    assert is_join_decomposable(t) == (rejoined == t.tuples)
+
+
 def test_relation_validation():
     x = labels("x", 2)
+    assert x.index("x2") == 1 and "x2" in x and "x3" not in x
+    with pytest.raises(ValueError):
+        x.index("x3")
     with pytest.raises(ValueError):
         BinaryRelation(x, x, frozenset({("x1", "nope")}))
     with pytest.raises(ValueError):
