@@ -71,7 +71,8 @@ class FiniteSet:
 
     def positions(self, labels: Sequence[str]) -> np.ndarray:
         """The positions of member labels, as an index array."""
-        return np.fromiter(map(self._position.__getitem__, labels), dtype=np.intp, count=len(labels))
+        lookup = map(self._position.__getitem__, labels)
+        return np.fromiter(lookup, dtype=np.intp, count=len(labels))
 
     def at(self, positions: np.ndarray) -> list[str]:
         """The labels at an index array of positions."""
@@ -323,12 +324,14 @@ def join_size(chain: RelationChain | Iterable[BinaryRelation]) -> int:
 
     The tuples are the paths through the biadjacency blocks, so their
     number is 1^T B_0 ... B_{k-1} 1, pushed as a row vector of exact
-    Python integers.
+    Python integers along each block's pairs (no dense integer block).
     """
     links = _chain(chain).links
     row = np.ones(len(links[0].dom), dtype=object)
     for link in links:
-        row = row @ link.biadjacency().astype(object)
+        heads, tails = np.nonzero(link.biadjacency())
+        row, pushed = np.zeros(len(link.ran), dtype=object), row
+        np.add.at(row, tails, pushed[heads])
     return int(row.sum())
 
 

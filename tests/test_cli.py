@@ -213,7 +213,8 @@ def test_decompose_counts_a_rejoin_too_large_to_build(tmp_path):
     rng = random.Random(0)
     columns = [[f"{c}{i}" for i in range(40)] for c in "abcde"]
     tuples = {tuple(rng.choice(col) for col in columns) for _ in range(3000)}
-    path = write_json(tmp_path / "t.json", {"columns": columns, "tuples": sorted(map(list, tuples))})
+    nary = {"columns": columns, "tuples": sorted(map(list, tuples))}
+    path = write_json(tmp_path / "t.json", nary)
     out = tmp_path / "out.json"
     probe = subprocess.run(
         [sys.executable, "-c", RUSAGE_PROBE, sys.executable, "-m", "cobwebs.cli",
