@@ -19,11 +19,12 @@ shifted right by the size of the first set, for one block, two or a chain.
 Chains of binary relations joined this way encode n-ary relations: the
 tuples of the join are the maximal paths through the chain's biadjacency
 blocks, and relation composition is their Boolean product.  Relations are
-worked on as integer index blocks, with labels looked up only on the way
-in and out.  The reverse direction projects an n-ary relation onto its
-adjacent-column pairs, and a relation is faithfully encoded by that chain
-exactly when re-joining the projections reproduces it; since that join
-always contains the relation, it is counted as a path count, not built.
+worked on as integer index pairs, with labels looked up only on the way
+in and out, so no |dom| x |ran| block is built for them.  The reverse
+direction projects an n-ary relation onto its adjacent-column pairs, and
+a relation is faithfully encoded by that chain exactly when re-joining
+the projections reproduces it; since that join always contains the
+relation, it is counted as a path count, not built.
 """
 
 from __future__ import annotations
@@ -65,10 +66,6 @@ class FiniteSet:
         except KeyError:
             raise ValueError(f"{label!r} is not in {self.labels}") from None
 
-    def covers(self, labels: Iterable[str]) -> bool:
-        """True when every one of the labels is a member."""
-        return self._position.keys() >= set(labels)
-
     def positions(self, labels: Sequence[str]) -> np.ndarray:
         """The positions of member labels, as an index array."""
         lookup = map(self._position.__getitem__, labels)
@@ -91,7 +88,7 @@ class BinaryRelation:
         object.__setattr__(self, "pairs", frozenset(map(tuple, self.pairs)))
         bad = [(a, b) for a, b in self.pairs if a not in self.dom or b not in self.ran]
         if bad:
-            a, b = min(bad)
+            a, b = min(bad, key=_label_key)
             if a not in self.dom:
                 raise ValueError(f"pair component {a!r} not in domain {self.dom.labels}")
             raise ValueError(f"pair component {b!r} not in range {self.ran.labels}")
@@ -101,13 +98,23 @@ class BinaryRelation:
         """The di-biclique: every domain label related to every range label."""
         return cls(dom, ran, frozenset(itertools.product(dom.labels, ran.labels)))
 
+    def index_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs as head and tail position arrays, grouped by head."""
+        heads, tails = zip(*self.pairs) if self.pairs else ((), ())
+        heads, tails = self.dom.positions(heads), self.ran.positions(tails)
+        order = np.argsort(heads, kind="stable")
+        return heads[order], tails[order]
+
     def biadjacency(self) -> BoolMatrix:
         """|dom| x |ran| Boolean matrix in label order."""
         b = np.zeros((len(self.dom), len(self.ran)), dtype=bool)
-        if self.pairs:
-            heads, tails = zip(*self.pairs)
-            b[self.dom.positions(heads), self.ran.positions(tails)] = True
+        b[self.index_pairs()] = True
         return b
+
+
+def _label_key(entry: tuple) -> tuple[str, ...]:
+    """Sort key naming the smallest bad pair or tuple whatever its value types."""
+    return tuple(map(str, entry))
 
 
 @dataclass(frozen=True)
@@ -143,15 +150,13 @@ class NaryRelation:
         object.__setattr__(self, "tuples", tuples)
         if not columns:
             raise ValueError("n-ary relation needs at least one column")
-        # one pass per column; the tuples are scanned only to name the first bad one
-        if set(map(len, tuples)) <= {len(columns)} and all(
-            map(FiniteSet.covers, columns, zip(*tuples))
-        ):
-            return
-        t = min(
+        bad = [
             t for t in tuples
             if len(t) != len(columns) or any(v not in col for v, col in zip(t, columns))
-        )
+        ]
+        if not bad:
+            return
+        t = min(bad, key=_label_key)
         if len(t) != len(columns):
             raise ValueError(f"tuple {t} has arity {len(t)}, expected {len(columns)}")
         v, col = next((v, col) for v, col in zip(t, columns) if v not in col)
@@ -280,10 +285,37 @@ def njoin_graded(d1: GradedDigraph, d2: GradedDigraph) -> GradedDigraph:
     return GradedDigraph(d1.levels + d2.levels[1:], d1.blocks + d2.blocks)
 
 
+def _index_paths(links: Sequence[BinaryRelation]) -> list[np.ndarray]:
+    """The maximal paths through a chain, one position array per column.
+
+    Paths start as the first link's index pairs and are extended one link
+    at a time along that link's successor lists, so the cost follows the
+    number of paths and no |dom| x |ran| block is built.
+    """
+    paths = list(links[0].index_pairs())
+    for link in links[1:]:
+        # successor lists in CSR form: row v's successors are tails[starts[v]:][:fanout[v]]
+        heads, tails = link.index_pairs()
+        fanout = np.bincount(heads, minlength=len(link.dom))
+        starts = np.cumsum(fanout) - fanout
+        reps = fanout[paths[-1]]
+        parent = np.repeat(np.arange(len(reps)), reps)
+        offset = np.arange(len(parent)) - np.repeat(np.cumsum(reps) - reps, reps)
+        paths = [col[parent] for col in paths]
+        paths.append(tails[starts[paths[-1]] + offset])
+    return paths
+
+
 def compose_relations(r: BinaryRelation, s: BinaryRelation) -> BinaryRelation:
-    """Relation composition: the Boolean product of the biadjacency blocks."""
+    """Relation composition: the Boolean product of the biadjacency blocks.
+
+    Its pairs are the distinct (first, last) ends of the two-link join's
+    index paths, so the cost follows the number of those paths, not the
+    sizes of the label sets.
+    """
     _check_middle_set(r, s)
-    heads, tails = np.nonzero(bool_product(r.biadjacency(), s.biadjacency()))
+    first, _, last = _index_paths((r, s))
+    heads, tails = np.unique(np.stack((first, last)), axis=1)
     return BinaryRelation(r.dom, s.ran, frozenset(zip(r.dom.at(heads), s.ran.at(tails))))
 
 
@@ -296,25 +328,13 @@ def njoin_relations(chain: RelationChain | Iterable[BinaryRelation]) -> NaryRela
 
     Columns are the chained sets and every tuple threads one pair of each
     link; a single link yields its relation as a 2-ary relation.  The
-    tuples are the maximal paths through the chain's biadjacency blocks:
-    index paths are extended one block at a time along each block's
-    successor lists and turned into labels once, at the end, so the cost
-    follows the number of tuples.
+    tuples are the maximal paths through the chain's biadjacency blocks,
+    found on index pairs and turned into labels once, at the end, so the
+    cost follows the number of tuples.
     """
     links = _chain(chain).links
     columns = (links[0].dom,) + tuple(link.ran for link in links)
-    paths = list(np.nonzero(links[0].biadjacency()))
-    for link in links[1:]:
-        block = link.biadjacency()
-        # successor lists in CSR form: row v's successors are tails[starts[v]:][:fanout[v]]
-        _, tails = np.nonzero(block)
-        fanout = block.sum(axis=1)
-        starts = np.cumsum(fanout) - fanout
-        reps = fanout[paths[-1]]
-        parent = np.repeat(np.arange(len(reps)), reps)
-        offset = np.arange(len(parent)) - np.repeat(np.cumsum(reps) - reps, reps)
-        paths = [col[parent] for col in paths]
-        paths.append(tails[starts[paths[-1]] + offset])
+    paths = _index_paths(links)
     tuples = zip(*(col.at(path) for col, path in zip(columns, paths)))
     return NaryRelation(columns, tuples)
 
@@ -324,12 +344,12 @@ def join_size(chain: RelationChain | Iterable[BinaryRelation]) -> int:
 
     The tuples are the paths through the biadjacency blocks, so their
     number is 1^T B_0 ... B_{k-1} 1, pushed as a row vector of exact
-    Python integers along each block's pairs (no dense integer block).
+    Python integers along each link's index pairs (no block is built).
     """
     links = _chain(chain).links
     row = np.ones(len(links[0].dom), dtype=object)
     for link in links:
-        heads, tails = np.nonzero(link.biadjacency())
+        heads, tails = link.index_pairs()
         row, pushed = np.zeros(len(link.ran), dtype=object), row
         np.add.at(row, tails, pushed[heads])
     return int(row.sum())

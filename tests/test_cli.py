@@ -208,6 +208,15 @@ print(json.dumps({"status": run.returncode, "stderr": run.stderr,
 """
 
 
+def probe_cli(*argv):
+    """Status, stderr, seconds and peak RSS of one CLI process."""
+    probe = subprocess.run(
+        [sys.executable, "-c", RUSAGE_PROBE, sys.executable, "-m", "cobwebs.cli", *argv],
+        env=cli_env(), capture_output=True, text=True, check=True,
+    )
+    return json.loads(probe.stdout)
+
+
 def test_decompose_counts_a_rejoin_too_large_to_build(tmp_path):
     # five columns of 40 labels: the projections re-join to tens of millions of tuples
     rng = random.Random(0)
@@ -216,16 +225,37 @@ def test_decompose_counts_a_rejoin_too_large_to_build(tmp_path):
     nary = {"columns": columns, "tuples": sorted(map(list, tuples))}
     path = write_json(tmp_path / "t.json", nary)
     out = tmp_path / "out.json"
-    probe = subprocess.run(
-        [sys.executable, "-c", RUSAGE_PROBE, sys.executable, "-m", "cobwebs.cli",
-         "decompose", "--from", path, "--out", str(out)],
-        env=cli_env(), capture_output=True, text=True, check=True,
-    )
-    report = json.loads(probe.stdout)
+    report = probe_cli("decompose", "--from", path, "--out", str(out))
     assert report["status"] == 0 and report["stderr"] == ""
     assert report["seconds"] < 2 and report["peak_mb"] < 300
     payload = json.loads(out.read_text(encoding="utf-8"))
     assert payload["decomposable"] is False and len(payload["links"]) == 4
+
+
+@pytest.mark.parametrize("command", ["join", "compose", "decompose"])
+def test_relation_commands_scale_with_pairs_not_label_sets(tmp_path, command):
+    # 20,000 labels per set and three pairs per link: a dense product would be cubic
+    x, y, z = ([f"{c}{i}" for i in range(20_000)] for c in "xyz")
+    left = {"dom": x, "ran": y, "pairs": [["x0", "y0"], ["x1", "y0"], ["x2", "y7"]]}
+    right = {"dom": y, "ran": z, "pairs": [["y0", "z5"], ["y0", "z9"], ["y3", "z1"]]}
+    nary = {"columns": [x, y, z], "tuples": [["x0", "y0", "z5"], ["x1", "y0", "z9"]]}
+    if command == "decompose":
+        argv = ["--from", write_json(tmp_path / "t.json", nary)]
+    else:
+        argv = ["--left", write_json(tmp_path / "l.json", left),
+                "--right", write_json(tmp_path / "r.json", right)]
+    out = tmp_path / "out.json"
+    report = probe_cli(command, *argv, "--out", str(out))
+    assert report["status"] == 0 and report["stderr"] == ""
+    assert report["peak_mb"] < 300
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    if command == "join":
+        assert payload["tuples"] == [["x0", "y0", "z5"], ["x0", "y0", "z9"],
+                                     ["x1", "y0", "z5"], ["x1", "y0", "z9"]]
+    elif command == "compose":
+        assert payload["pairs"] == [["x0", "z5"], ["x0", "z9"], ["x1", "z5"], ["x1", "z9"]]
+    else:
+        assert payload["decomposable"] is False
 
 
 @pytest.mark.parametrize("command, payloads", [

@@ -1,6 +1,7 @@
 import itertools
 import random
 import string
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -475,6 +476,32 @@ def test_relation_validation():
         FiniteSet(("a", "a"))
     with pytest.raises(ValueError):
         NaryRelation((x,), frozenset({("x1", "x2")}))
+
+
+def test_relation_kernels_allocate_by_pairs_not_label_sets():
+    # 20,000 labels per set: a 20,000 x 20,000 block would be 400 MB
+    x, y, z = (labels(c, 20_000) for c in "xyz")
+    r = BinaryRelation(x, y, frozenset({("x1", "y1"), ("x2", "y1"), ("x3", "y8")}))
+    s = BinaryRelation(y, z, frozenset({("y1", "z6"), ("y1", "z9"), ("y4", "z2")}))
+    t = NaryRelation((x, y, z), frozenset({("x1", "y1", "z6"), ("x2", "y1", "z9")}))
+    tracemalloc.start()
+    try:
+        joined = njoin_relations((r, s))
+        composed = compose_relations(r, s)
+        decomposable = is_join_decomposable(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**23
+    assert len(joined.tuples) == 4 and len(composed.pairs) == 4 and not decomposable
+
+
+def test_bad_entries_of_mixed_types_are_value_errors():
+    x = labels("x", 2)
+    with pytest.raises(ValueError, match="pair component 1 not in domain"):
+        BinaryRelation(x, x, frozenset({(1, "x1"), ("y", "x1")}))
+    with pytest.raises(ValueError, match="tuple component 1 not in column"):
+        NaryRelation((x, x), frozenset({(1, "x1"), ("y", "x1"), ("x1",)}))
 
 
 def test_relation_json_roundtrip():
