@@ -150,9 +150,11 @@ class NaryRelation:
         object.__setattr__(self, "tuples", tuples)
         if not columns:
             raise ValueError("n-ary relation needs at least one column")
+        # membership through map over the label dicts keeps the per-tuple check in C
+        lookups = [col._position for col in columns]
         bad = [
             t for t in tuples
-            if len(t) != len(columns) or any(v not in col for v, col in zip(t, columns))
+            if len(t) != len(columns) or not all(map(dict.__contains__, lookups, t))
         ]
         if not bad:
             return
@@ -315,7 +317,7 @@ def compose_relations(r: BinaryRelation, s: BinaryRelation) -> BinaryRelation:
     """
     _check_middle_set(r, s)
     first, _, last = _index_paths((r, s))
-    heads, tails = np.unique(np.stack((first, last)), axis=1)
+    heads, tails = np.divmod(np.unique(first * len(s.ran) + last), len(s.ran))
     return BinaryRelation(r.dom, s.ran, frozenset(zip(r.dom.at(heads), s.ran.at(tails))))
 
 
