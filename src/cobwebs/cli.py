@@ -164,7 +164,7 @@ def _cmd_zeta(args) -> int:
 
 def _cmd_dot(args) -> int:
     d = _resolve_digraph(args)
-    _emit(digraph.to_dot(d, rank_by_level=True), args.out)
+    _emit(digraph.to_dot(d), args.out)
     return 0
 
 
@@ -237,7 +237,7 @@ def _cmd_fibtree(args) -> int:
     _sizes(FSequence.fibonacci(), args.levels)
     d = cobweb.fibonacci_tree(args.levels)
     if args.format == "dot":
-        _emit(digraph.to_dot(d, rank_by_level=True), args.out)
+        _emit(digraph.to_dot(d), args.out)
     elif args.format == "text":
         _emit(_text_grid_pieces(digraph.global_adjacency(d)), args.out)
     else:

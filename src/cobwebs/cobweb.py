@@ -147,14 +147,16 @@ def verify_dim2(
     For all x != y the poset must have x <= y exactly when x precedes y
     in both orders.  True for every complete cobweb; fails e.g. for a
     corrupted L2 without the per-level reversal.  A realizer of the
-    wrong length is rejected before any closure is built.
+    wrong length is rejected before any closure is built.  The order is
+    ``transitive_closure`` of the Hasse digraph, for a cobweb too.
     """
+    d = p.hasse if isinstance(p, CobwebPoset) else p
     if r is None:
-        r = realizer(p)
-    n = p.n_vertices
+        r = realizer(d)
+    n = d.n_vertices
     if len(r.l1) != n:
         raise ValueError(f"realizer covers {len(r.l1)} vertices, poset has {n}")
-    z = p.zeta if isinstance(p, CobwebPoset) else transitive_closure(p).leq
+    z = transitive_closure(d).leq
     pos1, pos2 = np.argsort(r.l1), np.argsort(r.l2)  # pos[v - 1]: v's place
     for start in range(0, n, ROW_BLOCK):
         rows = slice(start, start + ROW_BLOCK)

@@ -13,11 +13,11 @@ the columns of the non-initial ones it is that direct sum.
 The poset associated to a graded digraph is its reflexive-transitive
 closure; a digraph is transitive-irreducible (a Hasse diagram) when the
 transitive reduction leaves it unchanged.  Every arc of a graded digraph
-joins level k to level k + 1, so level i reaches level j > i exactly
-through the block product B_i (c) ... (c) B_{j-1}: its closure is one
-sweep of level-sized row panels along the blocks, never an n x n product.
-Raw adjacency matrices have no levels; one row sweep in reverse
-topological order closes and reduces them together.
+joins level k to level k + 1, so level i's strict rows are B_i on level
+i + 1 and B_i (c) (level i + 1's strict rows) beyond it: closing from the
+last level back takes one level-sized product per arc block, never an
+n x n product.  Raw adjacency matrices have no levels; one row sweep in
+reverse topological order closes and reduces them together.
 
 ``Poset(z)`` validates a user-supplied zeta matrix in full (one n^3
 transitivity product); ``transitive_closure`` wraps the closures it
@@ -200,35 +200,30 @@ def _dag_sweep(a: BoolMatrix) -> tuple[BoolMatrix, BoolMatrix]:
 
 
 def _level_sweep_zeta(d: GradedDigraph) -> BoolMatrix:
-    """Zeta matrix of a graded digraph, one row panel per level.
+    """Zeta matrix of a graded digraph, closed from the last level back.
 
-    Level i's panel starts as B_i (level i to level i + 1) and moves on
-    as panel (c) B_j, landing in the (level i, level j + 1) block of z.
-    Once a panel is empty no later level is reachable from level i.
+    A vertex's strict row is its arcs OR its successors' strict rows (see
+    ``_dag_sweep``); for level i that is B_i on level i + 1 and B_i (c) the
+    rows of level i + 1 beyond it: one level-sized product per arc block.
     """
-    offsets, levels, blocks = d.level_offsets, d.levels, d.blocks
-    z = np.zeros((d.n_vertices,) * 2, dtype=bool)
-    np.fill_diagonal(z, True)
-    for i, panel in enumerate(blocks):
-        rows = slice(offsets[i], offsets[i] + levels[i])
-        for j in range(i + 1, len(levels)):
-            if not panel.any():
-                break
-            z[rows, offsets[j] : offsets[j] + levels[j]] = panel
-            if j < len(blocks):
-                panel = bool_product(panel, blocks[j])
+    bounds = (*d.level_offsets, d.n_vertices)
+    z = identity(d.n_vertices)
+    for i in reversed(range(len(d.blocks))):
+        a, b, c = bounds[i : i + 3]
+        z[a:b, b:c] = d.blocks[i]
+        z[a:b, c:] = bool_product(d.blocks[i], z[b:c, c:])
     return z
 
 
 def transitive_closure(d: GradedDigraph | BoolMatrix) -> Poset:
     """The poset associated to an acyclic digraph.
 
-    Accepts a graded digraph (acyclic by construction), closed by the
-    level sweep of its blocks, or a raw square adjacency matrix, closed
-    by one reverse-topological row sweep and rejected if cyclic.  The
-    result's ``leq`` is the reflexive-transitive closure, i.e. the zeta
-    matrix; it is an order by construction, so the ``Poset`` is built
-    without re-checking.
+    Accepts a graded digraph (acyclic by construction), closed from its
+    last level back with one product per arc block, or a raw square
+    adjacency matrix, closed by one reverse-topological row sweep and
+    rejected if cyclic.  The result's ``leq`` is the reflexive-transitive
+    closure, i.e. the zeta matrix; it is an order by construction, so the
+    ``Poset`` is built without re-checking.
     """
     if isinstance(d, GradedDigraph):
         return Poset._trusted(_level_sweep_zeta(d))
@@ -253,18 +248,17 @@ def is_transitive_irreducible(a: BoolMatrix) -> bool:
     return np.array_equal(transitive_reduction(a), a)
 
 
-def to_dot(d: GradedDigraph, rank_by_level: bool = True) -> str:
-    """Render as a DOT digraph, one rank per level when requested."""
+def to_dot(d: GradedDigraph) -> str:
+    """Render as a DOT digraph, one rank per level."""
     lines = ["digraph {"]
-    if rank_by_level and d.levels:
+    if d.levels:
         lines.append("  rankdir=BT;")
     for v in range(1, d.n_vertices + 1):
         lines.append(f"  {v};")
-    if rank_by_level:
-        offsets = d.level_offsets
-        for k, size in enumerate(d.levels):
-            members = " ".join(f"{offsets[k] + i + 1};" for i in range(size))
-            lines.append(f"  {{ rank=same; {members} }}")
+    offsets = d.level_offsets
+    for k, size in enumerate(d.levels):
+        members = " ".join(f"{offsets[k] + i + 1};" for i in range(size))
+        lines.append(f"  {{ rank=same; {members} }}")
     for u, v in d.arcs():
         lines.append(f"  {u} -> {v};")
     lines.append("}")

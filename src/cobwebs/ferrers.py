@@ -101,6 +101,23 @@ def has_perm2x2(b: BoolMatrix) -> Optional[PermSubmatrixWitness]:
     return None
 
 
+def _rows_nested(b: BoolMatrix, sizes: np.ndarray, strict: bool) -> bool:
+    """True when b's rows, by decreasing ``sizes`` (stable), each contain the next.
+
+    With ``strict`` row i is read without its entry in column i; the
+    diagonal is cleared in each gathered row block, so no copy of b is made.
+    """
+    order = np.argsort(-sizes, kind="stable")
+    for start in range(0, len(order) - 1, ROW_BLOCK):  # overlapping by one row
+        rows = order[start : start + ROW_BLOCK + 1]
+        nested = b[rows]
+        if strict:
+            nested[np.arange(len(rows)), rows] = False
+        if (nested[1:] > nested[:-1]).any():  # an entry the row before lacks
+            return False
+    return True
+
+
 def is_ferrers(b: BoolMatrix) -> bool:
     """True when the rows are linearly ordered by support inclusion.
 
@@ -109,22 +126,18 @@ def is_ferrers(b: BoolMatrix) -> bool:
     ``has_perm2x2(b) is None`` on every matrix.
     """
     b = as_bool_matrix(b)
-    order = np.argsort(-b.sum(axis=1), kind="stable")
-    for start in range(0, len(order) - 1, ROW_BLOCK):  # overlapping by one row
-        nested = b[order[start : start + ROW_BLOCK + 1]]
-        if (nested[1:] > nested[:-1]).any():  # an entry the row before lacks
-            return False
-    return True
+    return _rows_nested(b, b.sum(axis=1), strict=False)
 
 
 def strict_order_is_ferrers(z: BoolMatrix) -> bool:
-    """Ferrers test for the strict part of a reflexive order matrix."""
+    """Ferrers test for the strict part of a square order matrix.
+
+    Equals ``is_ferrers`` of z with its diagonal cleared, without copying z.
+    """
     z = as_bool_matrix(z)
     if z.shape[0] != z.shape[1]:
         raise ValueError(f"order matrix must be square, got {z.shape}")
-    strict = z.copy()
-    np.fill_diagonal(strict, False)
-    return is_ferrers(strict)
+    return _rows_nested(z, z.sum(axis=1) - z.diagonal(), strict=True)
 
 
 def chain_is_ferrers(blocks: Sequence[BoolMatrix]) -> ChainFerrersResult:

@@ -206,12 +206,8 @@ class AdjacencyMatrix:
         return chain_adjacency([self.block], self.k)
 
 
-def embed_biadjacency(b: BoolMatrix, k: int | None = None, m: int | None = None) -> AdjacencyMatrix:
+def embed_biadjacency(b: BoolMatrix) -> AdjacencyMatrix:
     """The adjacency matrix of a k x m biadjacency block."""
-    b = as_bool_matrix(b)
-    expected = (b.shape[0] if k is None else k, b.shape[1] if m is None else m)
-    if b.shape != expected:
-        raise ValueError(f"biadjacency block is {b.shape}, expected {expected}")
     return AdjacencyMatrix(b)
 
 

@@ -204,6 +204,12 @@ def test_verify_dim2_checks_the_realizer_length_before_any_closure(monkeypatch):
             verify_dim2(p, short)
 
 
+def test_verify_dim2_closes_the_hasse_digraph_not_the_cobweb_zeta():
+    p = build_cobweb(FSequence.naturals(), 40)  # n = 820
+    assert verify_dim2(p)
+    assert "zeta" not in p.__dict__  # the cached squaring series was not filled
+
+
 def test_cap_sized_closure_is_the_staircase():
     # n = 9870, just under the command line's default COBWEB_MAX_VERTICES
     d = build_cobweb(FSequence.naturals(), 140).hasse

@@ -115,11 +115,11 @@ def test_closure_equals_warshall_on_graded_and_permuted_dags(kind, rnd):
 
 @pytest.mark.parametrize("kind", ["graded", "deleted-arcs", "fibonacci-tree"])
 def test_graded_closure_multiplies_only_level_sized_operands(monkeypatch, kind):
-    rows = []
+    calls = []
     original = boolmat.bool_product
 
     def recording(a, b):
-        rows.extend((len(a), len(b)))
+        calls.append((len(a), len(b)))
         return original(a, b)
 
     monkeypatch.setattr(boolmat, "bool_product", recording)
@@ -127,13 +127,14 @@ def test_graded_closure_multiplies_only_level_sized_operands(monkeypatch, kind):
     rng = random.Random(kind)
     for _ in range(30):
         d = rand_closure_input(rng, kind)
-        rows.clear()
+        calls.clear()
         digraph.transitive_closure(d)
-        assert max(rows, default=0) <= max(d.levels)
+        assert len(calls) == len(d.blocks)  # one product per arc block
+        assert max(map(max, calls), default=0) <= max(d.levels)
     d = build_cobweb([1, 2, 3, 4, 5, 1]).hasse
-    rows.clear()
+    calls.clear()
     digraph.transitive_closure(d)
-    assert rows and max(rows) <= 5
+    assert len(calls) == 5 and max(map(max, calls)) <= 5
 
 
 def test_closure_skips_the_validating_poset_constructor(monkeypatch):
@@ -224,20 +225,13 @@ def test_empty_digraph_is_irreducible():
 
 def test_to_dot_small():
     d = GradedDigraph((1, 2), (boolmat.ones_matrix(1, 2),))
-    dot = digraph.to_dot(d, rank_by_level=True)
+    dot = digraph.to_dot(d)
     assert dot.startswith("digraph {")
     assert dot.endswith("}\n")
     assert dot.count("->") == 2
     assert dot.count("rank=same") == 2
     for vertex in ("1;", "2;", "3;"):
         assert vertex in dot
-
-
-def test_to_dot_without_ranks():
-    d = GradedDigraph((1, 2), (boolmat.ones_matrix(1, 2),))
-    dot = digraph.to_dot(d, rank_by_level=False)
-    assert "rank=same" not in dot
-    assert dot.count("->") == 2
 
 
 def test_to_dot_empty_graph():

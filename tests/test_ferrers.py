@@ -234,6 +234,21 @@ def test_strict_order_matrix_of_cobwebs_is_ferrers():
                 assert not is_ferrers(z)
 
 
+@given(small_bool_matrices(), st.booleans())
+def test_strict_order_is_ferrers_of_the_cleared_diagonal(b, reflexive):
+    n = min(b.shape)
+    z = b[:n, :n].copy()
+    if reflexive:
+        np.fill_diagonal(z, True)
+    assert strict_order_is_ferrers(z) == is_ferrers(z & ~boolmat.identity(n))
+
+
+def test_strict_order_is_ferrers_clears_the_diagonal_in_every_row_block():
+    z = zeta_matrix(build_cobweb(range(1, 31)))  # n = 465; its last levels sort last
+    assert len(z) > boolmat.ROW_BLOCK and not is_ferrers(z)
+    assert strict_order_is_ferrers(z)
+
+
 def test_strict_order_ferrers_negative():
     z = transitive_closure(fibonacci_tree(5)).leq
     assert not strict_order_is_ferrers(z)

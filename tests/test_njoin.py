@@ -78,14 +78,12 @@ def ternary_fixture():
 # -- adjacency matrices -------------------------------------------------------
 
 def test_embed_biadjacency_examples():
-    a = embed_biadjacency(np.array([[1, 1]], dtype=bool), 1, 2)
+    a = embed_biadjacency(np.array([[1, 1]], dtype=bool))
     assert a.mat.astype(int).tolist() == [[0, 1, 1], [0, 0, 0], [0, 0, 0]]
     z = embed_biadjacency(boolmat.zeros_matrix(2, 2))
     assert z.shape == (2, 2) and not z.mat.any()
     wide = embed_biadjacency(boolmat.ones_matrix(2, 3))
     assert wide.mat[:2, 2:].all() and wide.mat.sum() == 6
-    with pytest.raises(ValueError):
-        embed_biadjacency(boolmat.ones_matrix(2, 3), 3, 2)
 
 
 def test_zero_matrix_shape_comes_from_metadata():
@@ -101,7 +99,7 @@ def test_zero_matrix_shape_comes_from_metadata():
 @given(st.integers(0, 6), st.integers(0, 6), st.randoms(use_true_random=False))
 def test_embed_extract_roundtrip(k, m, rng):
     b = rand_bool_matrix(rng, k, m)
-    assert np.array_equal(biadjacency_of(embed_biadjacency(b, k, m)), b)
+    assert np.array_equal(biadjacency_of(embed_biadjacency(b)), b)
 
 
 def test_njoin_condition_is_shape_chaining():
