@@ -3,8 +3,9 @@
 One action per invocation: build cobweb posets and emit their matrices or
 DOT drawings, count Hasse paths, join/compose relations from JSON files,
 run Ferrers and dimension-2 checks, and decompose n-ary relations into
-binary chains.  Exit status 0 on success, 1 on domain errors (message on
-stderr), 2 on usage errors.
+binary chains.  Exit status 0 on success, 1 on domain errors and on an
+unwritable --out (message on stderr) or a closed stdout, 2 on usage
+errors.
 
 The environment variable COBWEB_MAX_VERTICES (a positive integer, default
 10000) caps the size of any constructed digraph; the cap is checked on
@@ -84,7 +85,7 @@ def _resolve_digraph(args: argparse.Namespace) -> digraph.GradedDigraph:
         d = digraph.digraph_from_json(_load_json(args.from_path))
         _check_size(d.levels)
         return d
-    return _build_cobweb(args).hasse
+    return _build_cobweb(args)
 
 
 def _build_cobweb(args: argparse.Namespace) -> cobweb.CobwebPoset:
@@ -97,8 +98,11 @@ def _emit(text: str | Iterable[str], out: Optional[str]) -> None:
     """Write the text, or its pieces in order, to --out or stdout."""
     pieces = [text] if isinstance(text, str) else text
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.writelines(pieces)
+        except OSError as exc:
+            raise DomainError(f"cannot write {out}: {exc}")
     else:
         sys.stdout.writelines(pieces)
 
@@ -107,13 +111,13 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _text_grid_pieces(m: np.ndarray, block_rows: int = boolmat.ROW_BLOCK) -> Iterator[str]:
+def _text_grid_pieces(m: np.ndarray) -> Iterator[str]:
     """``boolmat.to_text(m)`` in row blocks, so the grid is never one string."""
-    for start in range(0, len(m), block_rows):
-        yield boolmat.to_text(m[start : start + block_rows])
+    for start in range(0, len(m), boolmat.ROW_BLOCK):
+        yield boolmat.to_text(m[start : start + boolmat.ROW_BLOCK])
 
 
-def _json_grid_pieces(m: np.ndarray, block_rows: int = boolmat.ROW_BLOCK) -> Iterator[str]:
+def _json_grid_pieces(m: np.ndarray) -> Iterator[str]:
     """``_json_text(m.astype(int).tolist())`` in row blocks, without Python ints.
 
     With ``indent=2`` each entry of a row is a fixed-width line, "    d,"
@@ -126,12 +130,12 @@ def _json_grid_pieces(m: np.ndarray, block_rows: int = boolmat.ROW_BLOCK) -> Ite
         return
     row = np.frombuffer((b"  [\n" + b"    0,\n" * cols)[:-2] + b"\n  ],\n", dtype=np.uint8)
     yield "[\n"
-    for start in range(0, rows, block_rows):
-        block = m[start : start + block_rows]
+    for start in range(0, rows, boolmat.ROW_BLOCK):
+        block = m[start : start + boolmat.ROW_BLOCK]
         buf = np.tile(row, (len(block), 1))
         buf[:, 8 : 7 * cols + 8 : 7] += block
         text = buf.tobytes().decode("ascii")
-        yield text[:-2] if start + block_rows >= rows else text
+        yield text[:-2] if start + boolmat.ROW_BLOCK >= rows else text
     yield "\n]\n"
 
 
@@ -139,7 +143,7 @@ def _json_grid_pieces(m: np.ndarray, block_rows: int = boolmat.ROW_BLOCK) -> Ite
 
 def _cmd_build(args) -> int:
     p = _build_cobweb(args)
-    _emit(_json_text(digraph.digraph_to_json(p.hasse)), args.out)
+    _emit(_json_text(digraph.digraph_to_json(p)), args.out)
     return 0
 
 
@@ -330,7 +334,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # stdout's reader is gone: point stdout at devnull so that the
+        # interpreter's final flush stays quiet, as the ``signal`` docs do
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (DomainError, ValueError, IndexError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

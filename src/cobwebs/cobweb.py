@@ -8,6 +8,9 @@ saturated Boolean series I v A_F v A_F^2 v ..., whose rows show the
 staircase pattern characteristic of cobwebs: above the diagonal, zeros
 exactly within a vertex's own level and ones on every later level.
 
+A ``CobwebPoset`` is its Hasse digraph, a ``GradedDigraph`` with every
+arc block complete, so whatever takes a graded digraph takes a cobweb.
+
 Cobweb posets have order dimension at most 2: the level-major labeling
 and its within-level reversal intersect to the partial order, which
 ``realizer``/``verify_dim2`` construct and check.  ``fibonacci_tree``
@@ -24,38 +27,29 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .boolmat import ROW_BLOCK, BoolMatrix, closure_series, ones_matrix
-from .digraph import GradedDigraph, global_adjacency, transitive_closure
-from .fseq import FSequence, level_size
+from .digraph import GradedDigraph, global_adjacency, push_path_counts, transitive_closure
+from .fseq import FSequence, as_ints, level_size
 
 
 @dataclass(frozen=True, eq=False)
-class CobwebPoset:
-    """A cobweb poset, held as its Hasse digraph of complete arc blocks."""
-
-    hasse: GradedDigraph
+class CobwebPoset(GradedDigraph):
+    """A cobweb poset as its Hasse digraph (KoDAG): every arc block is complete."""
 
     def __post_init__(self) -> None:
-        for k, b in enumerate(self.hasse.blocks):
+        super().__post_init__()
+        for k, b in enumerate(self.blocks):
             if not b.all():
                 raise ValueError(f"arc block {k} is not complete; not a cobweb")
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CobwebPoset):
-            return NotImplemented
-        return self.hasse == other.hasse
-
     @property
-    def n_vertices(self) -> int:
-        return self.hasse.n_vertices
-
-    @property
-    def levels(self) -> tuple[int, ...]:
-        return self.hasse.levels
+    def hasse(self) -> CobwebPoset:
+        """The Hasse digraph, which is the poset itself."""
+        return self
 
     @cached_property
     def zeta(self) -> BoolMatrix:
         """Zeta matrix, filled lazily and at most once (fill is idempotent)."""
-        z = closure_series(global_adjacency(self.hasse), reflexive=True)
+        z = closure_series(global_adjacency(self), reflexive=True)
         z.flags.writeable = False
         return z
 
@@ -68,8 +62,8 @@ class Realizer:
     l2: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "l1", tuple(int(v) for v in self.l1))
-        object.__setattr__(self, "l2", tuple(int(v) for v in self.l2))
+        object.__setattr__(self, "l1", as_ints(self.l1, "realizer entries"))
+        object.__setattr__(self, "l2", as_ints(self.l2, "realizer entries"))
         n = len(self.l1)
         if sorted(self.l1) != list(range(1, n + 1)) or sorted(self.l2) != list(
             range(1, n + 1)
@@ -89,7 +83,7 @@ def cobweb_sizes(f: FSequence | Iterable[int], n: Optional[int] = None) -> Itera
         if n is None:
             raise ValueError(f"a level count is required with sequence {f.kind!r}")
         return (level_size(f, k) for k in range(n))
-    sizes = [int(s) for s in (f.values if isinstance(f, FSequence) else f)]
+    sizes = as_ints(f.values if isinstance(f, FSequence) else f, "level sizes")
     if n is not None and n != len(sizes):
         raise ValueError(f"level count {n} disagrees with {len(sizes)} explicit sizes")
     return iter(sizes)
@@ -105,12 +99,12 @@ def build_cobweb(f: FSequence | Iterable[int], n: Optional[int] = None) -> Cobwe
     blocks = tuple(
         ones_matrix(sizes[k], sizes[k + 1]) for k in range(len(sizes) - 1)
     )
-    return CobwebPoset(GradedDigraph(tuple(sizes), blocks))
+    return CobwebPoset(tuple(sizes), blocks)
 
 
 def hasse_matrix(p: CobwebPoset) -> BoolMatrix:
     """Global adjacency of the Hasse digraph: ones blocks, super-diagonal."""
-    return global_adjacency(p.hasse)
+    return global_adjacency(p)
 
 
 def zeta_matrix(p: CobwebPoset) -> BoolMatrix:
@@ -124,24 +118,21 @@ def leq(p: CobwebPoset, x: int, y: int) -> bool:
     Every block of a cobweb is complete, so x <= y exactly when x == y or
     x sits on an earlier level than y; the zeta matrix is not built.
     """
-    i, j = p.hasse.level_of(x), p.hasse.level_of(y)
+    i, j = p.level_of(x), p.level_of(y)
     return bool(x == y or i < j)
 
 
-def realizer(p: CobwebPoset | GradedDigraph) -> Realizer:
+def realizer(d: GradedDigraph) -> Realizer:
     """The dimension-2 realizer of a cobweb poset.
 
     L1 is the level-major left-to-right order (the global numbering);
     L2 visits levels in the same order but right-to-left within each.
     """
-    d = p.hasse if isinstance(p, CobwebPoset) else p
     l2 = [v for off, s in zip(d.level_offsets, d.levels) for v in range(off + s, off, -1)]
     return Realizer(tuple(range(1, d.n_vertices + 1)), tuple(l2))
 
 
-def verify_dim2(
-    p: CobwebPoset | GradedDigraph, r: Optional[Realizer] = None
-) -> bool:
+def verify_dim2(d: GradedDigraph, r: Optional[Realizer] = None) -> bool:
     """Check that the two linear orders intersect to the partial order.
 
     For all x != y the poset must have x <= y exactly when x precedes y
@@ -150,7 +141,6 @@ def verify_dim2(
     wrong length is rejected before any closure is built.  The order is
     ``transitive_closure`` of the Hasse digraph, for a cobweb too.
     """
-    d = p.hasse if isinstance(p, CobwebPoset) else p
     if r is None:
         r = realizer(d)
     n = d.n_vertices
@@ -168,24 +158,22 @@ def verify_dim2(
     return True
 
 
-def count_paths(p: CobwebPoset | GradedDigraph, x: int, y: int) -> int:
+def count_paths(d: GradedDigraph, x: int, y: int) -> int:
     """Number of directed Hasse paths from x to y (1-based vertices).
 
     Length-0 paths are excluded: comparable vertices of levels i < j are
     joined by paths of the single length j - i.  They are counted by
-    pushing the unit row vector of x through arc blocks i .. j-1 in exact
-    Python integers.  Returns 0 for x = y and for y not above x.
+    pushing the unit row vector of x along the arcs of blocks i .. j-1
+    (``push_path_counts``).  Returns 0 for x = y and for y not above x.
     """
-    d = p.hasse if isinstance(p, CobwebPoset) else p
     i, a = d.locate(x)
     j, b = d.locate(y)
     if j <= i:
         return 0
     row = np.zeros(d.levels[i], dtype=object)
     row[a] = 1
-    for block in d.blocks[i:j]:
-        row = row @ block.astype(object)
-    return int(row[b])
+    arcs = ((*np.nonzero(block), block.shape[1]) for block in d.blocks[i:j])
+    return int(push_path_counts(row, arcs)[b])
 
 
 def delete_arcs(
@@ -196,16 +184,16 @@ def delete_arcs(
     Each removal is a global 1-based (source, target) pair and must be an
     existing arc between consecutive levels.
     """
-    blocks = [b.copy() for b in p.hasse.blocks]
+    blocks = [b.copy() for b in p.blocks]
     for u, v in removals:
-        ku, i = p.hasse.locate(u)
-        kv, j = p.hasse.locate(v)
+        ku, i = p.locate(u)
+        kv, j = p.locate(v)
         if kv != ku + 1:
             raise ValueError(f"({u}, {v}) is not an arc between consecutive levels")
         if not blocks[ku][i, j]:
             raise ValueError(f"arc ({u}, {v}) does not exist")
         blocks[ku][i, j] = False
-    return GradedDigraph(p.hasse.levels, tuple(blocks))
+    return GradedDigraph(p.levels, tuple(blocks))
 
 
 def fibonacci_tree(n: int) -> GradedDigraph:

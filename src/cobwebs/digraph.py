@@ -30,7 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .boolmat import (
     direct_sum,
     identity,
 )
+from .fseq import as_ints
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -63,7 +64,7 @@ class GradedDigraph:
     blocks: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        levels = tuple(int(s) for s in self.levels)
+        levels = as_ints(self.levels, "level sizes")
         blocks = tuple(_freeze(as_bool_matrix(b)) for b in self.blocks)
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "blocks", blocks)
@@ -156,6 +157,18 @@ class Poset:
     @property
     def n(self) -> int:
         return self.leq.shape[0]
+
+
+def push_path_counts(row: np.ndarray, arc_lists: Iterable[tuple]) -> np.ndarray:
+    """An object-dtype row of exact path counts times each arc block in turn.
+
+    A block is ``(heads, tails, width)``: arc t joins position heads[t] to
+    position tails[t] of the next level, which has ``width`` vertices.
+    """
+    for heads, tails, width in arc_lists:
+        row, pushed = np.zeros(width, dtype=object), row
+        np.add.at(row, tails, pushed[heads])
+    return row
 
 
 def global_adjacency(d: GradedDigraph) -> BoolMatrix:

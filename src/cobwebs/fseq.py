@@ -15,12 +15,28 @@ than produced.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 MAX_LEVEL_SIZE = 2**63 - 1
 
 KINDS = ("naturals", "fibonacci", "gaussian", "constant", "explicit")
+
+
+def as_ints(values: Iterable, what: str) -> tuple[int, ...]:
+    """The values as a tuple of Python ints, or ValueError naming ``what``.
+
+    ``operator.index`` lets numpy integers through and rejects 1.5 and
+    "1", which ``int`` would truncate or parse.
+    """
+    out = []
+    for v in values:
+        try:
+            out.append(operator.index(v))
+        except TypeError:
+            raise ValueError(f"{what} must be integers, got {v!r}") from None
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -66,7 +82,7 @@ class FSequence:
 
     @classmethod
     def explicit(cls, values) -> "FSequence":
-        return cls("explicit", values=tuple(int(v) for v in values))
+        return cls("explicit", values=as_ints(values, "explicit sizes"))
 
     @classmethod
     def parse(cls, spec: str) -> "FSequence":

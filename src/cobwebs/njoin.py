@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .boolmat import BoolMatrix, as_bool_matrix, bool_product, chain_adjacency
-from .digraph import GradedDigraph
+from .digraph import GradedDigraph, push_path_counts
 
 
 @dataclass(frozen=True)
@@ -341,16 +341,13 @@ def join_size(chain: RelationChain | Iterable[BinaryRelation]) -> int:
     """Number of tuples in the natural join of a chain, counted, not built.
 
     The tuples are the paths through the biadjacency blocks, so their
-    number is 1^T B_0 ... B_{k-1} 1, pushed as a row vector of exact
-    Python integers along each link's index pairs (no block is built).
+    number is 1^T B_0 ... B_{k-1} 1: a row of ones pushed along each
+    link's index pairs by ``push_path_counts`` (no block is built).
     """
     links = _chain(chain).links
+    arcs = ((*link.index_pairs(), len(link.ran)) for link in links)
     row = np.ones(len(links[0].dom), dtype=object)
-    for link in links:
-        heads, tails = link.index_pairs()
-        row, pushed = np.zeros(len(link.ran), dtype=object), row
-        np.add.at(row, tails, pushed[heads])
-    return int(row.sum())
+    return int(push_path_counts(row, arcs).sum())
 
 
 def project_chain(t: NaryRelation) -> RelationChain:

@@ -293,21 +293,27 @@ def test_zeta_json_format(capsys):
     assert json.loads(out) == [[1, 1, 1], [0, 1, 0], [0, 0, 1]]
 
 
-@pytest.mark.parametrize("block_rows", [1, 2, 256])
-def test_json_grid_pieces_match_json_dumps(block_rows):
-    rng = np.random.default_rng(block_rows)
-    for rows, cols in [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (7, 7), (9, 4)]:
+# the empty shapes, small ones, and row counts on both sides of the row-block edges
+GRID_SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (7, 7), (9, 4),
+               (boolmat.ROW_BLOCK - 1, 3), (boolmat.ROW_BLOCK, 4),
+               (boolmat.ROW_BLOCK + 1, 2), (2 * boolmat.ROW_BLOCK + 1, 1)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 256])
+def test_json_grid_pieces_match_json_dumps(seed):
+    rng = np.random.default_rng(seed)
+    for rows, cols in GRID_SHAPES:
         m = rng.random((rows, cols)) < 0.5
         expected = json.dumps(m.astype(int).tolist(), indent=2, sort_keys=True) + "\n"
-        assert "".join(cli._json_grid_pieces(m, block_rows)) == expected
+        assert "".join(cli._json_grid_pieces(m)) == expected
 
 
-@pytest.mark.parametrize("block_rows", [1, 2, 256])
-def test_text_grid_pieces_match_to_text(block_rows):
-    rng = np.random.default_rng(block_rows)
-    for rows, cols in [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (7, 7), (9, 4)]:
+@pytest.mark.parametrize("seed", [1, 2, 256])
+def test_text_grid_pieces_match_to_text(seed):
+    rng = np.random.default_rng(seed)
+    for rows, cols in GRID_SHAPES:
         m = rng.random((rows, cols)) < 0.5
-        assert "".join(cli._text_grid_pieces(m, block_rows)) == boolmat.to_text(m)
+        assert "".join(cli._text_grid_pieces(m)) == boolmat.to_text(m)
 
 
 def test_zeta_json_bytes_match_json_dumps(capsys, tmp_path):
@@ -319,6 +325,27 @@ def test_zeta_json_bytes_match_json_dumps(capsys, tmp_path):
     path = tmp_path / "zeta.json"
     assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
     assert path.read_text(encoding="utf-8") == out
+
+
+def test_unwritable_out_is_a_domain_error(capsys, tmp_path):
+    for path in (tmp_path, tmp_path / "missing" / "x.txt"):  # a directory, no parent
+        status, out, err = run(capsys, "zeta", "--seq", "naturals", "--levels", "3",
+                               "--out", str(path))
+        assert status == 1 and out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # 1830 rows of text, far more than a pipe buffers: the writer meets the closed end
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cobwebs.cli", "zeta", "--seq", "naturals", "--levels", "60"],
+        env=cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(10) == b"1 1 1 1 1 "
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err and b"Exception ignored" not in err
 
 
 def test_usage_errors_exit_2(capsys):

@@ -65,8 +65,29 @@ def test_build_cobweb_degenerate_cases():
         build_cobweb([1, 0])
     with pytest.raises(ValueError):
         build_cobweb(FSequence.naturals())
-    with pytest.raises(ValueError):
-        CobwebPoset(GradedDigraph((2, 2), (boolmat.identity(2),)))
+    with pytest.raises(ValueError, match="not complete"):
+        CobwebPoset((2, 2), (boolmat.identity(2),))
+
+
+def test_cobweb_is_its_hasse_digraph():
+    p = build_cobweb([1, 2, 3])
+    assert isinstance(p, GradedDigraph)
+    assert p.hasse is p
+    assert delete_arcs(p, []) == p
+    assert p == GradedDigraph(p.levels, p.blocks)
+
+
+def test_build_cobweb_rejects_non_integer_sizes():
+    with pytest.raises(ValueError, match="level sizes must be integers, got 1.5"):
+        build_cobweb([1.5, 2.7])
+    p = build_cobweb(np.array([1, 2]))  # numpy integers are integers
+    assert p.levels == (1, 2) and all(type(s) is int for s in p.levels)
+
+
+def test_realizer_rejects_non_integer_entries():
+    with pytest.raises(ValueError, match="realizer entries must be integers, got 1.5"):
+        Realizer((1.5, 2), (2, 1))
+    assert Realizer(np.array([1, 2]), (2, 1)).l1 == (1, 2)
 
 
 def test_build_cobweb_from_sequence_object():

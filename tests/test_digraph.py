@@ -38,6 +38,13 @@ def test_graded_digraph_validation():
         GradedDigraph((1, 2), (boolmat.ones_matrix(2, 2),))
 
 
+def test_graded_digraph_rejects_non_integer_level_sizes():
+    with pytest.raises(ValueError, match="level sizes must be integers, got 1.9"):
+        GradedDigraph((1.9, 1), (boolmat.ones_matrix(1, 1),))
+    d = GradedDigraph(np.array([1, 1]), (boolmat.ones_matrix(1, 1),))
+    assert d.levels == (1, 1) and all(type(s) is int for s in d.levels)
+
+
 def test_global_adjacency_single_block():
     d = GradedDigraph((1, 2), (boolmat.ones_matrix(1, 2),))
     assert digraph.global_adjacency(d).astype(int).tolist() == [

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -88,6 +89,12 @@ def test_invalid_constructions():
         level_size(FSequence.naturals(), -1)
     with pytest.raises(ValueError):
         level_sizes(FSequence.naturals(), 0)
+
+
+def test_explicit_rejects_non_integer_sizes():
+    with pytest.raises(ValueError, match="explicit sizes must be integers, got 2.9"):
+        FSequence.explicit([2.9])
+    assert FSequence.explicit(np.array([2, 3])).values == (2, 3)
 
 
 def test_parse_specs():
