@@ -3,9 +3,10 @@
 One action per invocation: build cobweb posets and emit their matrices or
 DOT drawings, count Hasse paths, join/compose relations from JSON files,
 run Ferrers and dimension-2 checks, and decompose n-ary relations into
-binary chains.  Exit status 0 on success, 1 on domain errors and on an
-unwritable --out (message on stderr) or a closed stdout, 2 on usage
-errors.
+binary chains.  ``main`` writes every output: each handler returns its
+text and exit status.  Exit status 0 on success, 1 on a failed check, on
+invalid input and on an unwritable --out (message on stderr) or a closed
+stdout, 2 on usage errors.
 
 The environment variable COBWEB_MAX_VERTICES (a positive integer, default
 10000) caps the size of any constructed digraph; the cap is checked on
@@ -28,10 +29,6 @@ from .fseq import FSequence
 DEFAULT_MAX_VERTICES = 10000
 
 
-class DomainError(Exception):
-    """Invalid input or failed check; maps to exit status 1."""
-
-
 def _max_vertices() -> int:
     raw = os.environ.get("COBWEB_MAX_VERTICES")
     if raw is None:
@@ -41,7 +38,7 @@ def _max_vertices() -> int:
     except ValueError:
         cap = 0
     if cap < 1:
-        raise DomainError(f"COBWEB_MAX_VERTICES must be a positive integer, got {raw!r}")
+        raise ValueError(f"COBWEB_MAX_VERTICES must be a positive integer, got {raw!r}")
     return cap
 
 
@@ -53,7 +50,7 @@ def _check_size(levels: Iterable[int]) -> list[int]:
     for s in levels:
         total += s
         if total > cap:
-            raise DomainError(
+            raise ValueError(
                 f"construction of at least {total} vertices exceeds COBWEB_MAX_VERTICES={cap}"
             )
         sizes.append(s)
@@ -65,7 +62,7 @@ def _sizes(seq: FSequence, levels: Optional[int]) -> list[int]:
     try:
         sizes = cobweb.cobweb_sizes(seq, levels)
     except ValueError as exc:
-        raise DomainError(f"--levels: {exc}")
+        raise ValueError(f"--levels: {exc}")
     return _check_size(sizes)
 
 
@@ -74,9 +71,9 @@ def _load_json(path: str) -> dict:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
-        raise DomainError(f"cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}")
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise DomainError(f"{path} is not valid JSON: {exc}")
+        raise ValueError(f"{path} is not valid JSON: {exc}")
 
 
 def _resolve_digraph(args: argparse.Namespace) -> digraph.GradedDigraph:
@@ -85,13 +82,14 @@ def _resolve_digraph(args: argparse.Namespace) -> digraph.GradedDigraph:
         d = digraph.digraph_from_json(_load_json(args.from_path))
         _check_size(d.levels)
         return d
-    return _build_cobweb(args)
-
-
-def _build_cobweb(args: argparse.Namespace) -> cobweb.CobwebPoset:
     if not args.seq:
-        raise DomainError("either --seq or --from is required")
+        raise ValueError("either --seq or --from is required")
     return cobweb.build_cobweb(_sizes(FSequence.parse(args.seq), args.levels))
+
+
+def _load_relations(args: argparse.Namespace) -> list[njoin.BinaryRelation]:
+    """The --left and --right relations, read and checked in that order."""
+    return [njoin.relation_from_json(_load_json(path)) for path in (args.left, args.right)]
 
 
 def _emit(text: str | Iterable[str], out: Optional[str]) -> None:
@@ -102,7 +100,7 @@ def _emit(text: str | Iterable[str], out: Optional[str]) -> None:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.writelines(pieces)
         except OSError as exc:
-            raise DomainError(f"cannot write {out}: {exc}")
+            raise ValueError(f"cannot write {out}: {exc}")
     else:
         sys.stdout.writelines(pieces)
 
@@ -139,114 +137,72 @@ def _json_grid_pieces(m: np.ndarray) -> Iterator[str]:
     yield "\n]\n"
 
 
-# -- subcommand handlers -----------------------------------------------------
+# -- subcommand handlers: each returns (text or its pieces, exit status) -----
 
-def _cmd_build(args) -> int:
-    p = _build_cobweb(args)
-    _emit(_json_text(digraph.digraph_to_json(p)), args.out)
-    return 0
-
-
-def _cmd_hasse(args) -> int:
-    d = _resolve_digraph(args)
-    if args.format == "json":
-        _emit(_json_text(digraph.digraph_to_json(d)), args.out)
-    else:
-        _emit(_text_grid_pieces(digraph.global_adjacency(d)), args.out)
-    return 0
+# a digraph in each --format; the functions are looked up at call time,
+# so wrappers installed on the modules (tracing, test doubles) apply
+_DIGRAPH_WRITERS = {
+    "json": lambda d: _json_text(digraph.digraph_to_json(d)),
+    "text": lambda d: _text_grid_pieces(digraph.global_adjacency(d)),
+    "dot": lambda d: digraph.to_dot(d),
+}
 
 
-def _cmd_zeta(args) -> int:
-    d = _resolve_digraph(args)
-    z = digraph.transitive_closure(d).leq
-    if args.format == "json":
-        _emit(_json_grid_pieces(z), args.out)
-    else:
-        _emit(_text_grid_pieces(z), args.out)
-    return 0
+def _cmd_digraph(args):
+    return _DIGRAPH_WRITERS[args.format](_resolve_digraph(args)), 0
 
 
-def _cmd_dot(args) -> int:
-    d = _resolve_digraph(args)
-    _emit(digraph.to_dot(d), args.out)
-    return 0
+def _cmd_zeta(args):
+    z = digraph.transitive_closure(_resolve_digraph(args)).leq
+    return (_json_grid_pieces if args.format == "json" else _text_grid_pieces)(z), 0
 
 
-def _cmd_paths(args) -> int:
-    d = _resolve_digraph(args)
-    count = cobweb.count_paths(d, args.x, args.y)
-    _emit(f"{count}\n", args.out)
-    return 0
+def _cmd_paths(args):
+    return f"{cobweb.count_paths(_resolve_digraph(args), args.x, args.y)}\n", 0
 
 
-def _cmd_join(args) -> int:
-    left = njoin.relation_from_json(_load_json(args.left))
-    right = njoin.relation_from_json(_load_json(args.right))
-    joined = njoin.njoin_relations([left, right])
-    _emit(_json_text(njoin.nary_to_json(joined)), args.out)
-    return 0
+def _cmd_join(args):
+    return _json_text(njoin.nary_to_json(njoin.njoin_relations(_load_relations(args)))), 0
 
 
-def _cmd_compose(args) -> int:
-    left = njoin.relation_from_json(_load_json(args.left))
-    right = njoin.relation_from_json(_load_json(args.right))
-    composed = njoin.compose_relations(left, right)
-    _emit(_json_text(njoin.relation_to_json(composed)), args.out)
-    return 0
+def _cmd_compose(args):
+    composed = njoin.compose_relations(*_load_relations(args))
+    return _json_text(njoin.relation_to_json(composed)), 0
 
 
-def _cmd_check_ferrers(args) -> int:
+def _cmd_check_ferrers(args):
     d = _resolve_digraph(args)
     result = ferrers.chain_is_ferrers(list(d.blocks))
-    lines = []
-    status = 0
     if result.ok:
-        lines.append("OK: all blocks Ferrers")
+        lines = ["OK: all blocks Ferrers"]
     else:
-        status = 1
-        for k, witness in result.failures:
-            lines.append(f"FAIL: block {k} {witness.describe()}")
+        lines = [f"FAIL: block {k} {witness.describe()}" for k, witness in result.failures]
     strict_ok = ferrers.strict_order_is_ferrers(digraph.transitive_closure(d).leq)
-    if strict_ok:
-        lines.append("OK: strict order matrix Ferrers")
-    else:
-        status = 1
-        lines.append("FAIL: strict order matrix not Ferrers")
-    _emit("".join(ln + "\n" for ln in lines), args.out)
-    return status
+    lines.append("OK: strict order matrix Ferrers" if strict_ok
+                 else "FAIL: strict order matrix not Ferrers")
+    return "".join(ln + "\n" for ln in lines), 0 if result.ok and strict_ok else 1
 
 
-def _cmd_check_dim2(args) -> int:
-    d = _resolve_digraph(args)
-    if cobweb.verify_dim2(d):
-        _emit("OK: realizer of two linear orders verified\n", args.out)
-        return 0
-    _emit("FAIL: linear-order intersection differs from the partial order\n", args.out)
-    return 1
+def _cmd_check_dim2(args):
+    if cobweb.verify_dim2(_resolve_digraph(args)):
+        return "OK: realizer of two linear orders verified\n", 0
+    return "FAIL: linear-order intersection differs from the partial order\n", 1
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args):
     t = njoin.nary_from_json(_load_json(args.from_path))
     chain = njoin.project_chain(t)
     payload = {
         "decomposable": njoin.join_size(chain) == len(t.tuples),
         "links": [njoin.relation_to_json(r) for r in chain.links],
     }
-    _emit(_json_text(payload), args.out)
-    return 0
+    return _json_text(payload), 0
 
 
-def _cmd_fibtree(args) -> int:
+def _cmd_fibtree(args):
     # the tree's level sizes are the Fibonacci numbers: check the cap first
     _sizes(FSequence.fibonacci(), args.levels)
-    d = cobweb.fibonacci_tree(args.levels)
-    if args.format == "dot":
-        _emit(digraph.to_dot(d), args.out)
-    elif args.format == "text":
-        _emit(_text_grid_pieces(digraph.global_adjacency(d)), args.out)
-    else:
-        _emit(_json_text(digraph.digraph_to_json(d)), args.out)
-    return 0
+    return _DIGRAPH_WRITERS[args.format](cobweb.fibonacci_tree(args.levels)), 0
 
 
 # -- parser ------------------------------------------------------------------
@@ -267,66 +223,57 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("build", help="build a cobweb and emit digraph JSON")
     _add_source_flags(sub, with_from=False)
-    sub.add_argument("--out")
-    sub.set_defaults(handler=_cmd_build)
+    sub.set_defaults(handler=_cmd_digraph, format="json")
 
     sub = subs.add_parser("hasse", help="emit the Hasse adjacency matrix")
     _add_source_flags(sub)
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--out")
-    sub.set_defaults(handler=_cmd_hasse)
+    sub.set_defaults(handler=_cmd_digraph)
 
     sub = subs.add_parser("zeta", help="emit the zeta (incidence) matrix")
     _add_source_flags(sub)
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--out")
     sub.set_defaults(handler=_cmd_zeta)
 
     sub = subs.add_parser("dot", help="emit a DOT drawing of the Hasse digraph")
     _add_source_flags(sub)
-    sub.add_argument("--out")
-    sub.set_defaults(handler=_cmd_dot)
+    sub.set_defaults(handler=_cmd_digraph, format="dot")
 
     sub = subs.add_parser("paths", help="count directed Hasse paths between two vertices")
     _add_source_flags(sub)
     sub.add_argument("--x", type=int, required=True, help="source vertex (1-based)")
     sub.add_argument("--y", type=int, required=True, help="target vertex (1-based)")
-    sub.add_argument("--out")
     sub.set_defaults(handler=_cmd_paths)
 
     sub = subs.add_parser("join", help="natural join of two relation JSON files")
     sub.add_argument("--left", required=True)
     sub.add_argument("--right", required=True)
-    sub.add_argument("--out")
     sub.set_defaults(handler=_cmd_join)
 
     sub = subs.add_parser("compose", help="compose two relation JSON files")
     sub.add_argument("--left", required=True)
     sub.add_argument("--right", required=True)
-    sub.add_argument("--out")
     sub.set_defaults(handler=_cmd_compose)
 
     sub = subs.add_parser("check-ferrers", help="blockwise and strict-order Ferrers checks")
     _add_source_flags(sub)
-    sub.add_argument("--out")
     sub.set_defaults(handler=_cmd_check_ferrers)
 
     sub = subs.add_parser("check-dim2", help="verify the two-linear-order realizer")
     _add_source_flags(sub)
-    sub.add_argument("--out")
     sub.set_defaults(handler=_cmd_check_dim2)
 
     sub = subs.add_parser("decompose", help="project an n-ary relation JSON into a binary chain")
     sub.add_argument("--from", dest="from_path", metavar="PATH", required=True)
-    sub.add_argument("--out")
     sub.set_defaults(handler=_cmd_decompose)
 
     sub = subs.add_parser("fibtree", help="emit the rabbit-genealogy tree digraph")
     sub.add_argument("--levels", type=int, required=True)
     sub.add_argument("--format", choices=("json", "text", "dot"), default="json")
-    sub.add_argument("--out")
     sub.set_defaults(handler=_cmd_fibtree)
 
+    for sub in subs.choices.values():  # the last option of every subcommand
+        sub.add_argument("--out")
     return parser
 
 
@@ -334,7 +281,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        status = args.handler(args)
+        output, status = args.handler(args)
+        _emit(output, args.out)
         sys.stdout.flush()  # a closed reader shows here, not at exit
         return status
     except BrokenPipeError:
@@ -342,7 +290,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # interpreter's final flush stays quiet, as the ``signal`` docs do
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (DomainError, ValueError, IndexError, OverflowError) as exc:
+    except (ValueError, IndexError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

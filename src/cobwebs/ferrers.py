@@ -153,9 +153,8 @@ def chain_is_ferrers(blocks: Sequence[BoolMatrix]) -> ChainFerrersResult:
                 f"chain not conformable at block {k}: {blocks[k].shape} then "
                 f"{blocks[k + 1].shape}"
             )
-    failures = tuple(
-        (k, has_perm2x2(b)) for k, b in enumerate(blocks) if not is_ferrers(b)
-    )
+    witnesses = enumerate(map(has_perm2x2, blocks))  # one nesting check per block
+    failures = tuple((k, w) for k, w in witnesses if w is not None)
     return ChainFerrersResult(not failures, failures)
 
 

@@ -6,8 +6,12 @@ A cobweb poset over a sequence F has levels of cardinality |Phi_k| = F_k
     naturals     F_k = k + 1                 (sizes 1, 2, 3, ...)
     fibonacci    F_0 = F_1 = 1, F_k = F_{k-1} + F_{k-2}
     gaussian(q)  F_0 = 1, F_k = 1 + q + ... + q^{k-1}  (q-integers, q >= 2)
-    constant(c)  F_k = c
+    constant(c)  F_k = c                     (c >= 1)
     explicit     a fixed finite list of sizes
+
+The parameters q and c and the explicit sizes are integers: numpy
+integers are accepted and stored as Python ints, while 2.5 or "2" raise
+ValueError at construction.
 
 Values beyond the signed 64-bit range are reported as overflow rather
 than produced.
@@ -39,6 +43,17 @@ def as_ints(values: Iterable, what: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _at_least(value, least: int, what: str) -> int:
+    """``value`` as a Python int of at least ``least``, or ValueError naming ``what``."""
+    try:
+        n = operator.index(value)
+    except TypeError:  # None, 2.5, "2"
+        n = None
+    if n is None or n < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {value}")
+    return n
+
+
 @dataclass(frozen=True)
 class FSequence:
     """A level-cardinality sequence; construct via the classmethods."""
@@ -52,11 +67,9 @@ class FSequence:
         if self.kind not in KINDS:
             raise ValueError(f"unknown sequence kind {self.kind!r}")
         if self.kind == "gaussian":
-            if self.q is None or self.q < 2:
-                raise ValueError(f"gaussian base must be an integer >= 2, got {self.q}")
+            object.__setattr__(self, "q", _at_least(self.q, 2, "gaussian base"))
         if self.kind == "constant":
-            if self.c is None or self.c < 1:
-                raise ValueError(f"constant value must be an integer >= 1, got {self.c}")
+            object.__setattr__(self, "c", _at_least(self.c, 1, "constant value"))
         if self.kind == "explicit":
             if not self.values:
                 raise ValueError("explicit sequence needs a nonempty list of sizes")

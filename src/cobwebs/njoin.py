@@ -131,8 +131,8 @@ class RelationChain:
         for k in range(len(links) - 1):
             if links[k].ran != links[k + 1].dom:
                 raise ValueError(
-                    f"chain broken at link {k}: ran {list(links[k].ran.labels)} "
-                    f"!= dom {list(links[k + 1].dom.labels)} of link {k + 1}"
+                    f"middle sets differ at link {k}: ran {list(links[k].ran.labels)} "
+                    f"vs dom {list(links[k + 1].dom.labels)} of link {k + 1}"
                 )
 
 
@@ -252,20 +252,13 @@ def reduced_composition(a1: AdjacencyMatrix, a2: AdjacencyMatrix) -> AdjacencyMa
     return AdjacencyMatrix(bool_product(a1.block, a2.block))
 
 
-def _check_middle_set(r: BinaryRelation, s: BinaryRelation) -> None:
-    if r.ran != s.dom:
-        raise ValueError(
-            f"middle sets differ: ran {list(r.ran.labels)} vs dom {list(s.dom.labels)}"
-        )
-
-
 def njoin_digraphs(g1: BinaryRelation, g2: BinaryRelation) -> GradedDigraph:
     """Natural join of two bipartite digraphs into a three-level digraph.
 
     The middle sets must agree by labels and order (matrix columns are
     label-ordered).  The operation is ordered: g1 feeds g2.
     """
-    _check_middle_set(g1, g2)
+    RelationChain((g1, g2))  # checks the middle set
     return GradedDigraph(
         (len(g1.dom), len(g1.ran), len(g2.ran)),
         (g1.biadjacency(), g2.biadjacency()),
@@ -311,7 +304,7 @@ def compose_relations(r: BinaryRelation, s: BinaryRelation) -> BinaryRelation:
     index paths, so the cost follows the number of those paths, not the
     sizes of the label sets.
     """
-    _check_middle_set(r, s)
+    RelationChain((r, s))  # checks the middle set
     first, _, last = _index_paths((r, s))
     heads, tails = np.divmod(np.unique(first * len(s.ran) + last), len(s.ran))
     return BinaryRelation(r.dom, s.ran, frozenset(zip(r.dom.at(heads), s.ran.at(tails))))

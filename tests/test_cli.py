@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -346,6 +347,35 @@ def test_closed_stdout_exits_1_without_a_traceback():
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 1
     assert b"Traceback" not in err and b"Exception ignored" not in err
+
+
+# every subcommand's usage at 80 columns: option order, with --out last
+USAGES = {
+    "build": "usage: cobweb build [-h] [--seq SEQ] [--levels LEVELS] [--out OUT]\n",
+    "hasse": "usage: cobweb hasse [-h] [--seq SEQ] [--levels LEVELS] [--from PATH]\n"
+             "                    [--format {text,json}] [--out OUT]\n",
+    "zeta": "usage: cobweb zeta [-h] [--seq SEQ] [--levels LEVELS] [--from PATH]\n"
+            "                   [--format {text,json}] [--out OUT]\n",
+    "dot": "usage: cobweb dot [-h] [--seq SEQ] [--levels LEVELS] [--from PATH] [--out OUT]\n",
+    "paths": "usage: cobweb paths [-h] [--seq SEQ] [--levels LEVELS] [--from PATH] --x X --y\n"
+             "                    Y [--out OUT]\n",
+    "join": "usage: cobweb join [-h] --left LEFT --right RIGHT [--out OUT]\n",
+    "compose": "usage: cobweb compose [-h] --left LEFT --right RIGHT [--out OUT]\n",
+    "check-ferrers": "usage: cobweb check-ferrers [-h] [--seq SEQ] [--levels LEVELS] "
+                     "[--from PATH]\n                            [--out OUT]\n",
+    "check-dim2": "usage: cobweb check-dim2 [-h] [--seq SEQ] [--levels LEVELS] [--from PATH]\n"
+                  "                         [--out OUT]\n",
+    "decompose": "usage: cobweb decompose [-h] --from PATH [--out OUT]\n",
+    "fibtree": "usage: cobweb fibtree [-h] --levels LEVELS [--format {json,text,dot}]\n"
+               "                      [--out OUT]\n",
+}
+
+
+def test_subcommand_usages(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {name: sub.format_usage() for name, sub in subs.choices.items()} == USAGES
 
 
 def test_usage_errors_exit_2(capsys):

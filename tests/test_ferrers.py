@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cobwebs import boolmat
+from cobwebs import boolmat, ferrers
 from cobwebs.cobweb import build_cobweb, fibonacci_tree, zeta_matrix
 from cobwebs.digraph import transitive_closure
 from cobwebs.ferrers import (
@@ -208,6 +208,20 @@ def test_chain_is_ferrers_fails_on_fibonacci_tree():
     block, witness = result.failures[0]
     assert block == 2
     assert (witness.r1, witness.r2, witness.c1, witness.c2) == (1, 2, 1, 3)
+
+
+def test_chain_is_ferrers_checks_each_block_once(monkeypatch):
+    calls = []
+    original = ferrers.is_ferrers
+
+    def counted(b):
+        calls.append(b.shape)
+        return original(b)
+
+    monkeypatch.setattr(ferrers, "is_ferrers", counted)
+    blocks = fibonacci_tree(5).blocks
+    assert not chain_is_ferrers(list(blocks))
+    assert calls == [b.shape for b in blocks]  # failing blocks are not sorted twice
 
 
 def test_chain_with_identity_block_fails_there():

@@ -97,6 +97,24 @@ def test_explicit_rejects_non_integer_sizes():
     assert FSequence.explicit(np.array([2, 3])).values == (2, 3)
 
 
+@pytest.mark.parametrize("make, bad, what", [
+    (FSequence.gaussian, 2.5, "gaussian base"),
+    (FSequence.gaussian, "2", "gaussian base"),
+    (FSequence.constant, 2.5, "constant value"),
+    (FSequence.constant, "3", "constant value"),
+])
+def test_parameters_must_be_integers(make, bad, what):
+    with pytest.raises(ValueError, match=f"{what} must be an integer >= .*, got {bad}"):
+        make(bad)
+
+
+def test_numpy_integer_parameters_become_python_ints():
+    q, c = FSequence.gaussian(np.int64(3)).q, FSequence.constant(np.uint8(4)).c
+    assert (q, c) == (3, 4) and type(q) is int and type(c) is int
+    # F_40 fits in 64 bits but 3**40 does not: a numpy base would wrap around
+    assert level_size(FSequence.gaussian(np.int64(3)), 40) == (3**40 - 1) // 2
+
+
 def test_parse_specs():
     assert FSequence.parse("naturals").kind == "naturals"
     assert FSequence.parse("fibonacci").kind == "fibonacci"
