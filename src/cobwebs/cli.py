@@ -8,6 +8,15 @@ text and exit status.  Exit status 0 on success, 1 on a failed check, on
 invalid input and on an unwritable --out (message on stderr) or a closed
 stdout, 2 on usage errors.
 
+Each process runs one subcommand, so the command imports only what that
+subcommand runs, and only once its input has been read and checked: the
+top level holds argparse, json and ``fseq``, and the numpy-backed modules
+are imported inside the functions that call them.  ``--help``, usage
+errors, a bad --seq, the vertex cap and an unreadable file are answered
+before numpy is imported, and ``zeta`` never loads ``njoin`` or
+``ferrers``.  Keep those imports where they are: moved to the top, they
+are paid by every invocation, including the ones that fail at once.
+
 The environment variable COBWEB_MAX_VERTICES (a positive integer, default
 10000) caps the size of any constructed digraph; the cap is checked on
 the level sizes before any arc block is allocated.
@@ -19,12 +28,15 @@ import argparse
 import json
 import os
 import sys
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
-import numpy as np
+from .fseq import FSequence, cobweb_sizes
 
-from . import boolmat, cobweb, digraph, ferrers, njoin
-from .fseq import FSequence
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .digraph import GradedDigraph
+    from .njoin import BinaryRelation
 
 DEFAULT_MAX_VERTICES = 10000
 
@@ -60,7 +72,7 @@ def _check_size(levels: Iterable[int]) -> list[int]:
 def _sizes(seq: FSequence, levels: Optional[int]) -> list[int]:
     """Level sizes for --seq/--levels, checked against the cap as they are made."""
     try:
-        sizes = cobweb.cobweb_sizes(seq, levels)
+        sizes = cobweb_sizes(seq, levels)
     except ValueError as exc:
         raise ValueError(f"--levels: {exc}")
     return _check_size(sizes)
@@ -76,20 +88,29 @@ def _load_json(path: str) -> dict:
         raise ValueError(f"{path} is not valid JSON: {exc}")
 
 
-def _resolve_digraph(args: argparse.Namespace) -> digraph.GradedDigraph:
+def _resolve_digraph(args: argparse.Namespace) -> GradedDigraph:
     """A graded digraph from --from, or a cobweb from --seq/--levels."""
     if getattr(args, "from_path", None):
-        d = digraph.digraph_from_json(_load_json(args.from_path))
+        data = _load_json(args.from_path)
+        from . import digraph
+
+        d = digraph.digraph_from_json(data)
         _check_size(d.levels)
         return d
     if not args.seq:
         raise ValueError("either --seq or --from is required")
-    return cobweb.build_cobweb(_sizes(FSequence.parse(args.seq), args.levels))
+    sizes = _sizes(FSequence.parse(args.seq), args.levels)
+    from . import cobweb
+
+    return cobweb.build_cobweb(sizes)
 
 
-def _load_relations(args: argparse.Namespace) -> list[njoin.BinaryRelation]:
+def _load_relations(args: argparse.Namespace) -> list[BinaryRelation]:
     """The --left and --right relations, read and checked in that order."""
-    return [njoin.relation_from_json(_load_json(path)) for path in (args.left, args.right)]
+    left = _load_json(args.left)
+    from . import njoin
+
+    return [njoin.relation_from_json(left), njoin.relation_from_json(_load_json(args.right))]
 
 
 def _emit(text: str | Iterable[str], out: Optional[str]) -> None:
@@ -111,6 +132,8 @@ def _json_text(obj) -> str:
 
 def _text_grid_pieces(m: np.ndarray) -> Iterator[str]:
     """``boolmat.to_text(m)`` in row blocks, so the grid is never one string."""
+    from . import boolmat
+
     for start in range(0, len(m), boolmat.ROW_BLOCK):
         yield boolmat.to_text(m[start : start + boolmat.ROW_BLOCK])
 
@@ -122,6 +145,10 @@ def _json_grid_pieces(m: np.ndarray) -> Iterator[str]:
     then newline, the last one without its comma, so a block of rows is
     one uint8 buffer with the digits written in.
     """
+    import numpy as np
+
+    from . import boolmat
+
     rows, cols = m.shape
     if not m.size:
         yield _json_text(m.astype(int).tolist())
@@ -139,39 +166,58 @@ def _json_grid_pieces(m: np.ndarray) -> Iterator[str]:
 
 # -- subcommand handlers: each returns (text or its pieces, exit status) -----
 
-# a digraph in each --format; the functions are looked up at call time,
-# so wrappers installed on the modules (tracing, test doubles) apply
+# a digraph in each --format, given the digraph module: its functions are
+# looked up at call time, so wrappers installed on it (tracing, test doubles) apply
 _DIGRAPH_WRITERS = {
-    "json": lambda d: _json_text(digraph.digraph_to_json(d)),
-    "text": lambda d: _text_grid_pieces(digraph.global_adjacency(d)),
-    "dot": lambda d: digraph.to_dot(d),
+    "json": lambda dg, d: _json_text(dg.digraph_to_json(d)),
+    "text": lambda dg, d: _text_grid_pieces(dg.global_adjacency(d)),
+    "dot": lambda dg, d: dg.to_dot(d),
 }
 
 
+def _write_digraph(fmt: str, d: GradedDigraph):
+    from . import digraph
+
+    return _DIGRAPH_WRITERS[fmt](digraph, d)
+
+
 def _cmd_digraph(args):
-    return _DIGRAPH_WRITERS[args.format](_resolve_digraph(args)), 0
+    return _write_digraph(args.format, _resolve_digraph(args)), 0
 
 
 def _cmd_zeta(args):
-    z = digraph.transitive_closure(_resolve_digraph(args)).leq
+    d = _resolve_digraph(args)
+    from . import digraph
+
+    z = digraph.transitive_closure(d).leq
     return (_json_grid_pieces if args.format == "json" else _text_grid_pieces)(z), 0
 
 
 def _cmd_paths(args):
-    return f"{cobweb.count_paths(_resolve_digraph(args), args.x, args.y)}\n", 0
+    d = _resolve_digraph(args)
+    from . import cobweb
+
+    return f"{cobweb.count_paths(d, args.x, args.y)}\n", 0
 
 
 def _cmd_join(args):
-    return _json_text(njoin.nary_to_json(njoin.njoin_relations(_load_relations(args)))), 0
+    relations = _load_relations(args)
+    from . import njoin
+
+    return _json_text(njoin.nary_to_json(njoin.njoin_relations(relations))), 0
 
 
 def _cmd_compose(args):
-    composed = njoin.compose_relations(*_load_relations(args))
-    return _json_text(njoin.relation_to_json(composed)), 0
+    relations = _load_relations(args)
+    from . import njoin
+
+    return _json_text(njoin.relation_to_json(njoin.compose_relations(*relations))), 0
 
 
 def _cmd_check_ferrers(args):
     d = _resolve_digraph(args)
+    from . import digraph, ferrers
+
     result = ferrers.chain_is_ferrers(list(d.blocks))
     if result.ok:
         lines = ["OK: all blocks Ferrers"]
@@ -184,13 +230,19 @@ def _cmd_check_ferrers(args):
 
 
 def _cmd_check_dim2(args):
-    if cobweb.verify_dim2(_resolve_digraph(args)):
+    d = _resolve_digraph(args)
+    from . import cobweb
+
+    if cobweb.verify_dim2(d):
         return "OK: realizer of two linear orders verified\n", 0
     return "FAIL: linear-order intersection differs from the partial order\n", 1
 
 
 def _cmd_decompose(args):
-    t = njoin.nary_from_json(_load_json(args.from_path))
+    data = _load_json(args.from_path)
+    from . import njoin
+
+    t = njoin.nary_from_json(data)
     chain = njoin.project_chain(t)
     payload = {
         "decomposable": njoin.join_size(chain) == len(t.tuples),
@@ -202,7 +254,9 @@ def _cmd_decompose(args):
 def _cmd_fibtree(args):
     # the tree's level sizes are the Fibonacci numbers: check the cap first
     _sizes(FSequence.fibonacci(), args.levels)
-    return _DIGRAPH_WRITERS[args.format](cobweb.fibonacci_tree(args.levels)), 0
+    from . import cobweb
+
+    return _write_digraph(args.format, cobweb.fibonacci_tree(args.levels)), 0
 
 
 # -- parser ------------------------------------------------------------------

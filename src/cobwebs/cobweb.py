@@ -22,13 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .boolmat import ROW_BLOCK, BoolMatrix, closure_series, ones_matrix
 from .digraph import GradedDigraph, global_adjacency, push_path_counts, transitive_closure
-from .fseq import FSequence, as_ints, level_size
+from .fseq import FSequence, as_ints, cobweb_sizes
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,24 +69,6 @@ class Realizer:
             range(1, n + 1)
         ):
             raise ValueError("each order must permute the vertices 1..n")
-
-
-def cobweb_sizes(f: FSequence | Iterable[int], n: Optional[int] = None) -> Iterator[int]:
-    """Level sizes for ``build_cobweb(f, n)``, produced lazily.
-
-    ``f`` is a sequence object (then ``n`` picks how many levels) or a
-    list of sizes; an explicit sequence counts as its list.  A bad ``n``
-    raises at the call, so a caller capping the total can stop reading
-    at the cap.
-    """
-    if isinstance(f, FSequence) and f.kind != "explicit":
-        if n is None:
-            raise ValueError(f"a level count is required with sequence {f.kind!r}")
-        return (level_size(f, k) for k in range(n))
-    sizes = as_ints(f.values if isinstance(f, FSequence) else f, "level sizes")
-    if n is not None and n != len(sizes):
-        raise ValueError(f"level count {n} disagrees with {len(sizes)} explicit sizes")
-    return iter(sizes)
 
 
 def build_cobweb(f: FSequence | Iterable[int], n: Optional[int] = None) -> CobwebPoset:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 MAX_LEVEL_SIZE = 2**63 - 1
 
@@ -154,3 +154,21 @@ def level_sizes(seq: FSequence, n: int) -> list[int]:
     if n < 1:
         raise ValueError(f"level count must be >= 1, got {n}")
     return [level_size(seq, k) for k in range(n)]
+
+
+def cobweb_sizes(f: FSequence | Iterable[int], n: Optional[int] = None) -> Iterator[int]:
+    """Level sizes for ``build_cobweb(f, n)``, produced lazily.
+
+    ``f`` is a sequence object (then ``n`` picks how many levels) or a
+    list of sizes; an explicit sequence counts as its list.  A bad ``n``
+    raises at the call, so a caller capping the total can stop reading
+    at the cap.
+    """
+    if isinstance(f, FSequence) and f.kind != "explicit":
+        if n is None:
+            raise ValueError(f"a level count is required with sequence {f.kind!r}")
+        return (level_size(f, k) for k in range(n))
+    sizes = as_ints(f.values if isinstance(f, FSequence) else f, "level sizes")
+    if n is not None and n != len(sizes):
+        raise ValueError(f"level count {n} disagrees with {len(sizes)} explicit sizes")
+    return iter(sizes)

@@ -9,11 +9,13 @@ chained join, and a quartic submatrix scan instead of support nesting.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from pathlib import Path
 
 import numpy as np
 
+import cobwebs
 from cobwebs.cobweb import build_cobweb, delete_arcs, fibonacci_tree
 from cobwebs.digraph import GradedDigraph
 from cobwebs.fseq import FSequence
@@ -31,6 +33,13 @@ BUILTIN_SEQUENCES = (
 
 def golden_text(name: str) -> str:
     return (GOLDEN_DIR / name).read_text(encoding="utf-8")
+
+
+def cli_env(**extra):
+    """The environment of a subprocess, with this package on PYTHONPATH."""
+    src = str(Path(cobwebs.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def warshall_closure(a: np.ndarray, reflexive: bool = False) -> np.ndarray:

@@ -1,32 +1,23 @@
 import argparse
 import json
-import os
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cobwebs import boolmat, cli, digraph
+from cobwebs import boolmat, cli, cobweb, digraph, fseq
 from cobwebs.cobweb import build_cobweb
 from cobwebs.fseq import FSequence
 
-from conftest import golden_text
+from conftest import cli_env, golden_text
 
 
 def run(capsys, *argv):
     status = cli.main(list(argv))
     captured = capsys.readouterr()
     return status, captured.out, captured.err
-
-
-def cli_env(**extra):
-    """The environment of a CLI subprocess, with this package on PYTHONPATH."""
-    src = str(Path(cli.__file__).parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def run_process(*argv, **env):
@@ -420,7 +411,7 @@ def test_fibtree_cap_is_checked_before_the_tree_is_built(capsys, monkeypatch):
     def never(n):
         raise AssertionError(f"fibonacci_tree({n}) built past the vertex cap")
 
-    monkeypatch.setattr(cli.cobweb, "fibonacci_tree", never)
+    monkeypatch.setattr(cobweb, "fibonacci_tree", never)
     monkeypatch.setenv("COBWEB_MAX_VERTICES", "10")
     status, out, err = run(capsys, "fibtree", "--levels", "40")
     assert status == 1 and out == "" and "exceeds COBWEB_MAX_VERTICES=10" in err
@@ -428,17 +419,59 @@ def test_fibtree_cap_is_checked_before_the_tree_is_built(capsys, monkeypatch):
 
 def test_level_sizes_stop_once_the_cap_is_passed(capsys, monkeypatch):
     calls = []
-    original = cli.cobweb.level_size
+    original = fseq.level_size
 
     def counted(seq, k):
         calls.append(k)
         return original(seq, k)
 
-    monkeypatch.setattr(cli.cobweb, "level_size", counted)
+    monkeypatch.setattr(fseq, "level_size", counted)
     monkeypatch.setenv("COBWEB_MAX_VERTICES", "100")
     status, _, err = run(capsys, "zeta", "--seq", "naturals", "--levels", "1000000")
     assert status == 1 and "exceeds COBWEB_MAX_VERTICES=100" in err
     assert len(calls) == 14  # 1 + 2 + ... + 14 = 105 is the first total past 100
+
+
+@pytest.mark.parametrize("argv, env, status, message", [
+    (["--help"], {}, 0, "usage: cobweb"),
+    (["paths", "--seq", "naturals", "--levels", "5"], {}, 2, "required"),
+    (["hasse", "--seq", "bogus", "--levels", "3"], {}, 1, "bad sequence spec 'bogus'"),
+    (["zeta", "--seq", "naturals", "--levels", "30"], {"COBWEB_MAX_VERTICES": "100"}, 1,
+     "exceeds COBWEB_MAX_VERTICES=100"),
+    (["fibtree", "--levels", "40"], {"COBWEB_MAX_VERTICES": "10"}, 1,
+     "exceeds COBWEB_MAX_VERTICES=10"),
+    (["zeta", "--from", "MISSING"], {}, 1, "error: cannot read"),
+], ids=["help", "usage", "bad-seq", "cap", "fibtree-cap", "missing-file"])
+def test_early_exits_never_import_numpy(tmp_path, argv, env, status, message):
+    argv = [str(tmp_path / "missing.json") if a == "MISSING" else a for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "cobwebs.cli", *argv],
+        env=cli_env(**env), capture_output=True, text=True,
+    )
+    assert proc.returncode == status
+    assert message in (proc.stdout if status == 0 else proc.stderr)
+    imports = [ln for ln in proc.stderr.splitlines() if ln.startswith("import time:")]
+    assert imports and not [ln for ln in imports if "numpy" in ln]
+
+
+# the package modules one command leaves loaded
+LOADED_BY = """
+import contextlib, io, sys
+from cobwebs import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    status = cli.main(sys.argv[1:])
+print(status, *sorted(m for m in sys.modules if m.startswith("cobwebs.")))
+"""
+
+
+@pytest.mark.parametrize("command", ["zeta", "hasse", "dot", "build", "check-dim2"])
+def test_cobweb_subcommands_load_neither_njoin_nor_ferrers(command):
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_BY, command, "--seq", "naturals", "--levels", "3"],
+        env=cli_env(), capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.split() == ["0", "cobwebs.boolmat", "cobwebs.cli", "cobwebs.cobweb",
+                                   "cobwebs.digraph", "cobwebs.fseq"]
 
 
 @pytest.mark.parametrize("payload", [
