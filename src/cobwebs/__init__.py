@@ -34,7 +34,6 @@ _EXPORTS = {
     "digraph": (
         "GradedDigraph",
         "Poset",
-        "chain_biadjacency",
         "global_adjacency",
         "is_transitive_irreducible",
         "to_dot",
@@ -58,13 +57,11 @@ _EXPORTS = {
         "FiniteSet",
         "NaryRelation",
         "RelationChain",
-        "biadjacency_of",
         "compose_relations",
         "embed_biadjacency",
         "is_join_decomposable",
         "join_size",
         "njoin_adjacency",
-        "njoin_condition",
         "njoin_digraphs",
         "njoin_fold",
         "njoin_graded",

@@ -8,18 +8,23 @@ text and exit status.  Exit status 0 on success, 1 on a failed check, on
 invalid input and on an unwritable --out (message on stderr) or a closed
 stdout, 2 on usage errors.
 
-Each process runs one subcommand, so the command imports only what that
-subcommand runs, and only once its input has been read and checked: the
-top level holds argparse, json and ``fseq``, and the numpy-backed modules
-are imported inside the functions that call them.  ``--help``, usage
-errors, a bad --seq, the vertex cap and an unreadable file are answered
-before numpy is imported, and ``zeta`` never loads ``njoin`` or
-``ferrers``.  Keep those imports where they are: moved to the top, they
-are paid by every invocation, including the ones that fail at once.
+Each process runs one subcommand, so the command loads only what that
+subcommand runs, and only once its input has been read and checked.  The
+top level imports argparse, json, ``fseq`` and the ``cobwebs`` package,
+which loads no submodule by itself; every other call into the library is
+written ``cobwebs.<module>.<name>``, and the package imports that module,
+and so numpy, on first use.  Those calls come after the checks, so
+``--help``, usage errors, a bad --seq, the vertex cap and an unreadable
+file are answered before numpy is imported, and ``zeta`` never loads
+``njoin`` or ``ferrers``.  Python looks a callee up before it evaluates
+the arguments, so input is read and checked in a statement of its own,
+not inside the call that hands it to the library.
 
 The environment variable COBWEB_MAX_VERTICES (a positive integer, default
-10000) caps the size of any constructed digraph; the cap is checked on
-the level sizes before any arc block is allocated.
+10000) caps the size of any constructed digraph.  For --seq and
+``fibtree`` the cap is checked on the level sizes before any arc block
+exists; for --from, once the file is read and checked, before any
+closure or grid is built.
 """
 
 from __future__ import annotations
@@ -28,15 +33,11 @@ import argparse
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
+
+import cobwebs
 
 from .fseq import FSequence, cobweb_sizes
-
-if TYPE_CHECKING:
-    import numpy as np
-
-    from .digraph import GradedDigraph
-    from .njoin import BinaryRelation
 
 DEFAULT_MAX_VERTICES = 10000
 
@@ -88,29 +89,24 @@ def _load_json(path: str) -> dict:
         raise ValueError(f"{path} is not valid JSON: {exc}")
 
 
-def _resolve_digraph(args: argparse.Namespace) -> GradedDigraph:
+def _resolve_digraph(args: argparse.Namespace) -> cobwebs.digraph.GradedDigraph:
     """A graded digraph from --from, or a cobweb from --seq/--levels."""
     if getattr(args, "from_path", None):
         data = _load_json(args.from_path)
-        from . import digraph
-
-        d = digraph.digraph_from_json(data)
+        d = cobwebs.digraph.digraph_from_json(data)
         _check_size(d.levels)
         return d
     if not args.seq:
         raise ValueError("either --seq or --from is required")
     sizes = _sizes(FSequence.parse(args.seq), args.levels)
-    from . import cobweb
-
-    return cobweb.build_cobweb(sizes)
+    return cobwebs.cobweb.build_cobweb(sizes)
 
 
-def _load_relations(args: argparse.Namespace) -> list[BinaryRelation]:
+def _load_relations(args: argparse.Namespace) -> list[cobwebs.njoin.BinaryRelation]:
     """The --left and --right relations, read and checked in that order."""
     left = _load_json(args.left)
-    from . import njoin
-
-    return [njoin.relation_from_json(left), njoin.relation_from_json(_load_json(args.right))]
+    return [cobwebs.njoin.relation_from_json(left),
+            cobwebs.njoin.relation_from_json(_load_json(args.right))]
 
 
 def _emit(text: str | Iterable[str], out: Optional[str]) -> None:
@@ -130,15 +126,14 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _text_grid_pieces(m: np.ndarray) -> Iterator[str]:
+def _text_grid_pieces(m: cobwebs.boolmat.BoolMatrix) -> Iterator[str]:
     """``boolmat.to_text(m)`` in row blocks, so the grid is never one string."""
-    from . import boolmat
+    step = cobwebs.boolmat.ROW_BLOCK
+    for start in range(0, len(m), step):
+        yield cobwebs.boolmat.to_text(m[start : start + step])
 
-    for start in range(0, len(m), boolmat.ROW_BLOCK):
-        yield boolmat.to_text(m[start : start + boolmat.ROW_BLOCK])
 
-
-def _json_grid_pieces(m: np.ndarray) -> Iterator[str]:
+def _json_grid_pieces(m: cobwebs.boolmat.BoolMatrix) -> Iterator[str]:
     """``_json_text(m.astype(int).tolist())`` in row blocks, without Python ints.
 
     With ``indent=2`` each entry of a row is a fixed-width line, "    d,"
@@ -147,83 +142,67 @@ def _json_grid_pieces(m: np.ndarray) -> Iterator[str]:
     """
     import numpy as np
 
-    from . import boolmat
-
     rows, cols = m.shape
     if not m.size:
         yield _json_text(m.astype(int).tolist())
         return
+    step = cobwebs.boolmat.ROW_BLOCK
     row = np.frombuffer((b"  [\n" + b"    0,\n" * cols)[:-2] + b"\n  ],\n", dtype=np.uint8)
     yield "[\n"
-    for start in range(0, rows, boolmat.ROW_BLOCK):
-        block = m[start : start + boolmat.ROW_BLOCK]
+    for start in range(0, rows, step):
+        block = m[start : start + step]
         buf = np.tile(row, (len(block), 1))
         buf[:, 8 : 7 * cols + 8 : 7] += block
         text = buf.tobytes().decode("ascii")
-        yield text[:-2] if start + boolmat.ROW_BLOCK >= rows else text
+        yield text[:-2] if start + step >= rows else text
     yield "\n]\n"
 
 
 # -- subcommand handlers: each returns (text or its pieces, exit status) -----
 
-# a digraph in each --format, given the digraph module: its functions are
-# looked up at call time, so wrappers installed on it (tracing, test doubles) apply
+# a digraph in each --format; ``cobwebs.digraph`` is read at call time, so
+# wrappers installed on it (tracing, test doubles) apply
 _DIGRAPH_WRITERS = {
-    "json": lambda dg, d: _json_text(dg.digraph_to_json(d)),
-    "text": lambda dg, d: _text_grid_pieces(dg.global_adjacency(d)),
-    "dot": lambda dg, d: dg.to_dot(d),
+    "json": lambda d: _json_text(cobwebs.digraph.digraph_to_json(d)),
+    "text": lambda d: _text_grid_pieces(cobwebs.digraph.global_adjacency(d)),
+    "dot": lambda d: cobwebs.digraph.to_dot(d),
 }
 
 
-def _write_digraph(fmt: str, d: GradedDigraph):
-    from . import digraph
-
-    return _DIGRAPH_WRITERS[fmt](digraph, d)
-
-
 def _cmd_digraph(args):
-    return _write_digraph(args.format, _resolve_digraph(args)), 0
+    return _DIGRAPH_WRITERS[args.format](_resolve_digraph(args)), 0
 
 
 def _cmd_zeta(args):
     d = _resolve_digraph(args)
-    from . import digraph
-
-    z = digraph.transitive_closure(d).leq
+    z = cobwebs.digraph.transitive_closure(d).leq
     return (_json_grid_pieces if args.format == "json" else _text_grid_pieces)(z), 0
 
 
 def _cmd_paths(args):
     d = _resolve_digraph(args)
-    from . import cobweb
-
-    return f"{cobweb.count_paths(d, args.x, args.y)}\n", 0
+    return f"{cobwebs.cobweb.count_paths(d, args.x, args.y)}\n", 0
 
 
 def _cmd_join(args):
     relations = _load_relations(args)
-    from . import njoin
-
-    return _json_text(njoin.nary_to_json(njoin.njoin_relations(relations))), 0
+    return _json_text(cobwebs.njoin.nary_to_json(cobwebs.njoin.njoin_relations(relations))), 0
 
 
 def _cmd_compose(args):
     relations = _load_relations(args)
-    from . import njoin
-
-    return _json_text(njoin.relation_to_json(njoin.compose_relations(*relations))), 0
+    composed = cobwebs.njoin.compose_relations(*relations)
+    return _json_text(cobwebs.njoin.relation_to_json(composed)), 0
 
 
 def _cmd_check_ferrers(args):
     d = _resolve_digraph(args)
-    from . import digraph, ferrers
-
-    result = ferrers.chain_is_ferrers(list(d.blocks))
+    result = cobwebs.ferrers.chain_is_ferrers(list(d.blocks))
     if result.ok:
         lines = ["OK: all blocks Ferrers"]
     else:
         lines = [f"FAIL: block {k} {witness.describe()}" for k, witness in result.failures]
-    strict_ok = ferrers.strict_order_is_ferrers(digraph.transitive_closure(d).leq)
+    strict_ok = cobwebs.ferrers.strict_order_is_ferrers(cobwebs.digraph.transitive_closure(d).leq)
     lines.append("OK: strict order matrix Ferrers" if strict_ok
                  else "FAIL: strict order matrix not Ferrers")
     return "".join(ln + "\n" for ln in lines), 0 if result.ok and strict_ok else 1
@@ -231,22 +210,18 @@ def _cmd_check_ferrers(args):
 
 def _cmd_check_dim2(args):
     d = _resolve_digraph(args)
-    from . import cobweb
-
-    if cobweb.verify_dim2(d):
+    if cobwebs.cobweb.verify_dim2(d):
         return "OK: realizer of two linear orders verified\n", 0
     return "FAIL: linear-order intersection differs from the partial order\n", 1
 
 
 def _cmd_decompose(args):
     data = _load_json(args.from_path)
-    from . import njoin
-
-    t = njoin.nary_from_json(data)
-    chain = njoin.project_chain(t)
+    t = cobwebs.njoin.nary_from_json(data)
+    chain = cobwebs.njoin.project_chain(t)
     payload = {
-        "decomposable": njoin.join_size(chain) == len(t.tuples),
-        "links": [njoin.relation_to_json(r) for r in chain.links],
+        "decomposable": cobwebs.njoin.join_size(chain) == len(t.tuples),
+        "links": [cobwebs.njoin.relation_to_json(r) for r in chain.links],
     }
     return _json_text(payload), 0
 
@@ -254,18 +229,18 @@ def _cmd_decompose(args):
 def _cmd_fibtree(args):
     # the tree's level sizes are the Fibonacci numbers: check the cap first
     _sizes(FSequence.fibonacci(), args.levels)
-    from . import cobweb
-
-    return _write_digraph(args.format, cobweb.fibonacci_tree(args.levels)), 0
+    return _DIGRAPH_WRITERS[args.format](cobwebs.cobweb.fibonacci_tree(args.levels)), 0
 
 
 # -- parser ------------------------------------------------------------------
 
 def _add_source_flags(sub: argparse.ArgumentParser, with_from: bool = True) -> None:
-    sub.add_argument("--seq", help="sequence spec, e.g. naturals | fibonacci | gaussian:2 | constant:3 | explicit:1,2,3")
+    sub.add_argument("--seq", help="sequence spec, e.g. naturals | fibonacci | gaussian:2"
+                                   " | constant:3 | explicit:1,2,3")
     sub.add_argument("--levels", type=int, help="number of levels")
     if with_from:
-        sub.add_argument("--from", dest="from_path", metavar="PATH", help="load a digraph JSON file instead")
+        sub.add_argument("--from", dest="from_path", metavar="PATH",
+                         help="load a digraph JSON file instead")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,8 +7,7 @@ within a level; that numbering makes printed adjacency and zeta grids
 literal row/column indices.
 
 The square adjacency matrix is the direct sum of the arc blocks shifted
-right by the size of level 0; cut to the rows of the non-final levels and
-the columns of the non-initial ones it is that direct sum.
+right by the size of level 0.
 
 The poset associated to a graded digraph is its reflexive-transitive
 closure; a digraph is transitive-irreducible (a Hasse diagram) when the
@@ -40,7 +39,6 @@ from .boolmat import (
     bool_product,
     chain_adjacency,
     closure_series,
-    direct_sum,
     identity,
 )
 from .fseq import as_ints
@@ -174,11 +172,6 @@ def push_path_counts(row: np.ndarray, arc_lists: Iterable[tuple]) -> np.ndarray:
 def global_adjacency(d: GradedDigraph) -> BoolMatrix:
     """Square adjacency matrix, strictly upper triangular."""
     return chain_adjacency(d.blocks, d.levels[0] if d.levels else 0)
-
-
-def chain_biadjacency(d: GradedDigraph) -> BoolMatrix:
-    """Reduced adjacency of the whole chain: non-final rows, non-initial columns."""
-    return direct_sum(d.blocks)
 
 
 def _dag_sweep(a: BoolMatrix) -> tuple[BoolMatrix, BoolMatrix]:

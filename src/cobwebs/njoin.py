@@ -198,10 +198,6 @@ class AdjacencyMatrix:
         return self.block.shape[0]
 
     @property
-    def m(self) -> int:
-        return self.block.shape[1]
-
-    @property
     def mat(self) -> BoolMatrix:
         return chain_adjacency([self.block], self.k)
 
@@ -211,19 +207,9 @@ def embed_biadjacency(b: BoolMatrix) -> AdjacencyMatrix:
     return AdjacencyMatrix(b)
 
 
-def biadjacency_of(a: AdjacencyMatrix) -> BoolMatrix:
-    """A copy of the k x m block; inverse of ``embed_biadjacency``."""
-    return a.block.copy()
-
-
-def njoin_condition(a1: AdjacencyMatrix, a2: AdjacencyMatrix) -> bool:
-    """True when the codomain size of a1 equals the domain size of a2."""
-    return a1.m == a2.k
-
-
 def _check_join_chain(mats: Sequence[AdjacencyMatrix]) -> None:
     for t in range(len(mats) - 1):
-        if not njoin_condition(mats[t], mats[t + 1]):
+        if mats[t].shape[1] != mats[t + 1].k:
             raise ValueError(
                 f"natural join condition violated at position {t}: shapes "
                 f"{mats[t].shape} and {mats[t + 1].shape}"

@@ -464,14 +464,67 @@ print(status, *sorted(m for m in sys.modules if m.startswith("cobwebs.")))
 """
 
 
-@pytest.mark.parametrize("command", ["zeta", "hasse", "dot", "build", "check-dim2"])
-def test_cobweb_subcommands_load_neither_njoin_nor_ferrers(command):
-    proc = subprocess.run(
-        [sys.executable, "-c", LOADED_BY, command, "--seq", "naturals", "--levels", "3"],
-        env=cli_env(), capture_output=True, text=True, check=True,
-    )
-    assert proc.stdout.split() == ["0", "cobwebs.boolmat", "cobwebs.cli", "cobwebs.cobweb",
-                                   "cobwebs.digraph", "cobwebs.fseq"]
+SEQ = ["--seq", "naturals", "--levels", "3"]
+CORE = ["cobwebs.boolmat", "cobwebs.cli", "cobwebs.digraph", "cobwebs.fseq"]
+
+
+def loaded_by(tmp_path, argv):
+    """The exit status and the modules of ``cobweb ARGV`` in a fresh interpreter.
+
+    The arguments DIGRAPH, LEFT, RIGHT and NARY stand for input files.
+    """
+    files = {
+        "DIGRAPH": digraph.digraph_to_json(build_cobweb([1, 2, 3])),
+        "LEFT": E1_JSON,
+        "RIGHT": E2_JSON,
+        "NARY": {"columns": [["x1", "x2"], ["z1"]], "tuples": [["x1", "z1"]]},
+    }
+    argv = [write_json(tmp_path / f"{a}.json", files[a]) if a in files else a for a in argv]
+    proc = subprocess.run([sys.executable, "-c", LOADED_BY, *argv],
+                          env=cli_env(), capture_output=True, text=True, check=True)
+    return proc.stdout.split()
+
+
+@pytest.mark.parametrize("argv, modules", [
+    *[pytest.param([c, *SEQ], [*CORE, "cobwebs.cobweb"], id=c)
+      for c in ("zeta", "hasse", "dot", "build", "check-dim2")],
+    pytest.param(["paths", *SEQ, "--x", "1", "--y", "4"], [*CORE, "cobwebs.cobweb"], id="paths"),
+    pytest.param(["fibtree", "--levels", "3"], [*CORE, "cobwebs.cobweb"], id="fibtree"),
+    pytest.param(["zeta", "--from", "DIGRAPH"], CORE, id="zeta-from"),
+    pytest.param(["hasse", "--from", "DIGRAPH"], CORE, id="hasse-from"),
+    pytest.param(["paths", "--from", "DIGRAPH", "--x", "1", "--y", "4"],
+                 [*CORE, "cobwebs.cobweb"], id="paths-from"),
+])
+def test_cobweb_subcommands_load_neither_njoin_nor_ferrers(tmp_path, argv, modules):
+    assert loaded_by(tmp_path, argv) == ["0", *sorted(modules)]
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["check-ferrers", *SEQ], [*CORE, "cobwebs.cobweb", "cobwebs.ferrers"]),
+    (["join", "--left", "LEFT", "--right", "RIGHT"], [*CORE, "cobwebs.njoin"]),
+    (["compose", "--left", "LEFT", "--right", "RIGHT"], [*CORE, "cobwebs.njoin"]),
+    (["decompose", "--from", "NARY"], [*CORE, "cobwebs.njoin"]),
+], ids=["check-ferrers", "join", "compose", "decompose"])
+def test_ferrers_and_relation_subcommands_load_only_their_module(tmp_path, argv, modules):
+    assert loaded_by(tmp_path, argv) == ["0", *sorted(modules)]
+
+
+# bench/spans.py traces the CLI by wrapping these functions on the digraph module
+@pytest.mark.parametrize("command, name", [
+    ("hasse", "global_adjacency"), ("dot", "to_dot"), ("build", "digraph_to_json"),
+])
+def test_digraph_writers_call_the_digraph_module_as_it_is_at_call_time(
+        capsys, monkeypatch, command, name):
+    calls = []
+    original = getattr(digraph, name)
+
+    def traced(d):
+        calls.append(d.levels)
+        return original(d)
+
+    monkeypatch.setattr(digraph, name, traced)
+    status, out, _ = run(capsys, command, *SEQ)
+    assert status == 0 and out and calls == [(1, 2, 3)]
 
 
 @pytest.mark.parametrize("payload", [

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cobwebs import boolmat, njoin
 from cobwebs.cobweb import build_cobweb, hasse_matrix
-from cobwebs.digraph import GradedDigraph, chain_biadjacency, global_adjacency
+from cobwebs.digraph import GradedDigraph, global_adjacency
 from cobwebs.fseq import level_sizes
 from cobwebs.njoin import (
     AdjacencyMatrix,
@@ -18,13 +18,11 @@ from cobwebs.njoin import (
     FiniteSet,
     NaryRelation,
     RelationChain,
-    biadjacency_of,
     compose_relations,
     embed_biadjacency,
     is_join_decomposable,
     join_size,
     njoin_adjacency,
-    njoin_condition,
     njoin_digraphs,
     njoin_fold,
     njoin_graded,
@@ -90,26 +88,15 @@ def test_zero_matrix_shape_comes_from_metadata():
     # an all-zero square matrix does not determine (k, m); the block's shape does
     narrow = AdjacencyMatrix(np.zeros((1, 2)))
     wide = AdjacencyMatrix(np.zeros((2, 1)))
-    assert (narrow.k, narrow.m) == (1, 2) and wide.shape == (2, 1)
-    assert biadjacency_of(narrow).shape == (1, 2)
-    assert biadjacency_of(wide).shape == (2, 1)
+    assert narrow.shape == (1, 2) and wide.shape == (2, 1)
+    assert narrow.block.shape == (1, 2) and wide.block.shape == (2, 1)
     assert np.array_equal(narrow.mat, wide.mat) and narrow != wide
 
 
 @given(st.integers(0, 6), st.integers(0, 6), st.randoms(use_true_random=False))
 def test_embed_extract_roundtrip(k, m, rng):
     b = rand_bool_matrix(rng, k, m)
-    assert np.array_equal(biadjacency_of(embed_biadjacency(b)), b)
-
-
-def test_njoin_condition_is_shape_chaining():
-    a12 = embed_biadjacency(boolmat.ones_matrix(1, 2))
-    a21 = embed_biadjacency(boolmat.ones_matrix(2, 1))
-    a31 = embed_biadjacency(boolmat.ones_matrix(3, 1))
-    a22 = embed_biadjacency(boolmat.ones_matrix(2, 2))
-    assert njoin_condition(a12, a21)
-    assert not njoin_condition(a12, a31)
-    assert njoin_condition(a22, a22)
+    assert np.array_equal(embed_biadjacency(b).block, b)
 
 
 def test_njoin_adjacency_worked_example():
@@ -163,6 +150,11 @@ def test_njoin_fold_validates_chain():
     a = embed_biadjacency(boolmat.ones_matrix(1, 2))
     with pytest.raises(ValueError, match="position 0"):
         njoin_fold([a, a])
+    a22 = embed_biadjacency(boolmat.ones_matrix(2, 2))
+    assert njoin_fold([a, a22, a22]).shape == (7, 7)  # 2x2 chains with 2x2
+    a31 = embed_biadjacency(boolmat.ones_matrix(3, 1))
+    with pytest.raises(ValueError, match=r"position 0: shapes \(1, 2\) and \(3, 1\)"):
+        njoin_fold([a, a31])
     with pytest.raises(ValueError):
         njoin_fold([])
 
@@ -172,19 +164,19 @@ def test_reduced_composition():
     a2 = embed_biadjacency(np.array([[1], [0]], dtype=bool))
     composed = reduced_composition(a1, a2)
     assert composed.shape == (1, 1)
-    assert biadjacency_of(composed).astype(int).tolist() == [[1]]
+    assert composed.block.astype(int).tolist() == [[1]]
 
     rng = random.Random(17)
     b = rand_bool_matrix(rng, 3, 3)
     viaid = reduced_composition(
         embed_biadjacency(b), embed_biadjacency(boolmat.identity(3))
     )
-    assert np.array_equal(biadjacency_of(viaid), b)
+    assert np.array_equal(viaid.block, b)
     zero = reduced_composition(
         embed_biadjacency(boolmat.zeros_matrix(2, 3)),
         embed_biadjacency(rand_bool_matrix(rng, 3, 2)),
     )
-    assert not biadjacency_of(zero).any()
+    assert not zero.block.any()
 
 
 def test_reduced_composition_matches_bool_product():
@@ -193,7 +185,7 @@ def test_reduced_composition_matches_bool_product():
         k, m, s = (rng.randint(1, 6) for _ in range(3))
         b1, b2 = rand_bool_matrix(rng, k, m), rand_bool_matrix(rng, m, s)
         out = reduced_composition(embed_biadjacency(b1), embed_biadjacency(b2))
-        assert np.array_equal(biadjacency_of(out), boolmat.bool_product(b1, b2))
+        assert np.array_equal(out.block, boolmat.bool_product(b1, b2))
 
 
 # -- digraph joins ------------------------------------------------------------
@@ -237,7 +229,7 @@ def test_join_biadjacency_is_direct_sum_of_blocks():
         g2 = rand_relation(rng, labels("b", m), labels("c", s))
         d = njoin_digraphs(g1, g2)
         assert np.array_equal(
-            chain_biadjacency(d),
+            boolmat.direct_sum(d.blocks),
             boolmat.direct_sum([g1.biadjacency(), g2.biadjacency()]),
         )
 
@@ -249,7 +241,7 @@ def test_nfold_join_biadjacency_is_block_diagonal():
         sizes = [rng.randint(1, 4) for _ in range(n_links + 1)]
         blocks = [rand_bool_matrix(rng, sizes[k], sizes[k + 1]) for k in range(n_links)]
         d = GradedDigraph(tuple(sizes), tuple(blocks))
-        assert np.array_equal(chain_biadjacency(d), boolmat.direct_sum(blocks))
+        assert np.array_equal(boolmat.direct_sum(d.blocks), boolmat.direct_sum(blocks))
 
 
 def test_njoin_graded_is_associative_on_matrices():
