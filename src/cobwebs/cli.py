@@ -14,11 +14,12 @@ top level imports argparse, json, ``fseq`` and the ``cobwebs`` package,
 which loads no submodule by itself; every other call into the library is
 written ``cobwebs.<module>.<name>``, and the package imports that module,
 and so numpy, on first use.  Those calls come after the checks, so
-``--help``, usage errors, a bad --seq, the vertex cap and an unreadable
-file are answered before numpy is imported, and ``zeta`` never loads
-``njoin`` or ``ferrers``.  Python looks a callee up before it evaluates
-the arguments, so input is read and checked in a statement of its own,
-not inside the call that hands it to the library.
+``--help``, usage errors, a bad --seq, the vertex cap, a --seq ``paths``
+vertex out of range and an unreadable file are answered before numpy is
+imported, and ``zeta`` never loads ``njoin`` or ``ferrers``.  Python looks
+a callee up before it evaluates the arguments, so input is read and
+checked in a statement of its own, not inside the call that hands it to
+the library.
 
 The environment variable COBWEB_MAX_VERTICES (a positive integer, default
 10000) caps the size of any constructed digraph.  For --seq and
@@ -37,7 +38,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import cobwebs
 
-from .fseq import FSequence, cobweb_sizes
+from .fseq import FSequence, cobweb_sizes, locate
 
 DEFAULT_MAX_VERTICES = 10000
 
@@ -99,6 +100,9 @@ def _resolve_digraph(args: argparse.Namespace) -> cobwebs.digraph.GradedDigraph:
     if not args.seq:
         raise ValueError("either --seq or --from is required")
     sizes = _sizes(FSequence.parse(args.seq), args.levels)
+    if args.command == "paths":  # a vertex out of range is reported before any block exists
+        for v in (args.x, args.y):
+            locate(sizes, v)
     return cobwebs.cobweb.build_cobweb(sizes)
 
 

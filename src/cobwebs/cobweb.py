@@ -95,11 +95,13 @@ def zeta_matrix(p: CobwebPoset) -> BoolMatrix:
 
 
 def leq(p: CobwebPoset, x: int, y: int) -> bool:
-    """Order query on global 1-based vertex indices.
+    """Order query on global 1-based vertex indices of a cobweb poset.
 
     Every block of a cobweb is complete, so x <= y exactly when x == y or
     x sits on an earlier level than y; the zeta matrix is not built.
     """
+    if not isinstance(p, CobwebPoset):
+        raise TypeError(f"leq needs a CobwebPoset, not {type(p).__name__}: use transitive_closure")
     i, j = p.level_of(x), p.level_of(y)
     return bool(x == y or i < j)
 
@@ -181,29 +183,19 @@ def delete_arcs(
 def fibonacci_tree(n: int) -> GradedDigraph:
     """The rabbit-genealogy tree graded by generation.
 
-    Level sizes follow 1, 1, 2, 3, 5, ...: each mature vertex begets one
-    mature and one juvenile child (mature child placed on the left), each
-    juvenile matures into a single child.  The result is a subgraph of
-    the Fibonacci cobweb Hasse digraph and its blocks are the standard
-    non-Ferrers fixture.
+    Level sizes follow 1, 1, 2, 3, 5, ...  Each generation is a Boolean
+    ``mature`` vector, from one juvenile: a mature parent has two children,
+    a juvenile one, and every parent's first child is mature.  Block k has
+    a one at (parent_of_child[j], j) for each child j.  The result is a
+    subgraph of the Fibonacci cobweb Hasse digraph; its blocks are not Ferrers.
     """
     if n < 1:
         raise ValueError(f"level count must be >= 1, got {n}")
-    generations: list[tuple[str, ...]] = [("J",)]
+    mature, blocks = np.zeros(1, dtype=bool), []  # generation 0: one juvenile
     for _ in range(n - 1):
-        nxt: list[str] = []
-        for status in generations[-1]:
-            nxt.extend(("M", "J") if status == "M" else ("M",))
-        generations.append(tuple(nxt))
-    levels = tuple(len(g) for g in generations)
-    blocks = []
-    for k in range(n - 1):
-        parents, children = generations[k], generations[k + 1]
-        b = np.zeros((len(parents), len(children)), dtype=bool)
-        col = 0
-        for i, status in enumerate(parents):
-            width = 2 if status == "M" else 1
-            b[i, col : col + width] = True
-            col += width
-        blocks.append(b)
-    return GradedDigraph(levels, tuple(blocks))
+        parent_of_child = np.repeat(np.arange(len(mature)), 1 + mature)
+        block = np.zeros((len(mature), len(parent_of_child)), dtype=bool)
+        block[parent_of_child, np.arange(len(parent_of_child))] = True
+        blocks.append(block)
+        mature = np.concatenate(([True], parent_of_child[1:] != parent_of_child[:-1]))
+    return GradedDigraph((1, *(b.shape[1] for b in blocks)), tuple(blocks))

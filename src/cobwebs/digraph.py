@@ -25,7 +25,6 @@ builds itself without that check, since they are orders by construction.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -41,7 +40,7 @@ from .boolmat import (
     closure_series,
     identity,
 )
-from .fseq import as_ints
+from .fseq import as_ints, locate
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -98,11 +97,7 @@ class GradedDigraph:
 
     def locate(self, v: int) -> tuple[int, int]:
         """(level, 0-based position within that level) of global 1-based vertex v."""
-        n, offsets = self.n_vertices, self.level_offsets
-        if not 1 <= v <= n:
-            raise ValueError(f"vertex {v} out of range 1..{n}")
-        k = bisect_right(offsets, v - 1) - 1
-        return k, v - 1 - offsets[k]
+        return locate(self.levels, v)
 
     def level_of(self, v: int) -> int:
         """Level index of global 1-based vertex v."""

@@ -13,7 +13,8 @@ pass, while deleting arcs may introduce a forbidden submatrix
 (``chain_is_ferrers`` reports a witness per failing block).
 
 ``staircase_profile`` recognizes the zeta matrix of a cobweb poset by its
-staircase of zeros above the diagonal and recovers the level sizes.
+staircase of zeros above the diagonal, reading each level's size off
+the level's first row, and recovers the level sizes.
 """
 
 from __future__ import annotations
@@ -56,14 +57,12 @@ class ChainFerrersResult:
 
 @dataclass(frozen=True)
 class StaircaseProfile:
-    """Per-row 1-boundaries of a zeta grid plus the recovered level sizes.
+    """The level sizes recovered from a zeta grid, or its first violation.
 
-    ``boundaries[i]`` is the 1-based column of the first 1 strictly right
-    of the diagonal in row i+1 (None when the row is all zero there).  On
-    failure ``violation`` holds the first offending (row, column).
+    ``level_sizes`` is None unless the grid is a cobweb staircase, and
+    ``violation`` is None or the first offending 1-based (row, column).
     """
 
-    boundaries: tuple[Optional[int], ...]
     level_sizes: Optional[tuple[int, ...]]
     violation: Optional[tuple[int, int]]
 
@@ -166,9 +165,9 @@ def staircase_profile(z: BoolMatrix) -> StaircaseProfile:
     later level.  A trailing truncated level is fine (its rows simply
     have no 1s right of the diagonal), but a multi-vertex matrix whose
     first row has no 1s is not the zeta of any join of complete
-    bipartite blocks, so it is rejected with witness (1, 2).  The level
-    sizes are read off the boundaries; any other violation is the first
-    cell, in row-major order, where z differs from their staircase.
+    bipartite blocks, so it is rejected with witness (1, 2).  A level ends
+    at the first later one in its first row; any other violation is the
+    first cell, in row-major order, where z differs from that staircase.
     """
     z = as_bool_matrix(z)
     n = z.shape[0]
@@ -180,19 +179,17 @@ def staircase_profile(z: BoolMatrix) -> StaircaseProfile:
         raise ValueError("zeta matrix must be upper triangular")
 
     if n == 0:
-        return StaircaseProfile((), (), None)
-    upper = np.triu(z, 1)
-    first = upper.argmax(axis=1)
-    boundaries = tuple(
-        int(c) + 1 if one else None for c, one in zip(first, upper[np.arange(n), first])
-    )
+        return StaircaseProfile((), None)
     sizes: list[int] = []
     start = 0
     while start < n:
-        boundary = boundaries[start]
-        if boundary is None and start == 0 and n > 1:
-            return StaircaseProfile(boundaries, None, (1, 2))
-        end = n if boundary is None else boundary - 1  # None: a trailing level
+        later = z[start, start + 1 :]
+        if later.any():
+            end = start + 1 + int(later.argmax())
+        elif start == 0 and n > 1:
+            return StaircaseProfile(None, (1, 2))
+        else:
+            end = n  # a trailing level
         sizes.append(end - start)
         start = end
     level = np.repeat(np.arange(len(sizes)), sizes)
@@ -202,5 +199,5 @@ def staircase_profile(z: BoolMatrix) -> StaircaseProfile:
     k = int(wrong.argmax())
     if wrong[k]:
         row, col = divmod(k, n)
-        return StaircaseProfile(boundaries, None, (row + 1, col + 1))
-    return StaircaseProfile(boundaries, tuple(sizes), None)
+        return StaircaseProfile(None, (row + 1, col + 1))
+    return StaircaseProfile(tuple(sizes), None)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 MAX_LEVEL_SIZE = 2**63 - 1
 
@@ -172,3 +172,13 @@ def cobweb_sizes(f: FSequence | Iterable[int], n: Optional[int] = None) -> Itera
     if n is not None and n != len(sizes):
         raise ValueError(f"level count {n} disagrees with {len(sizes)} explicit sizes")
     return iter(sizes)
+
+
+def locate(levels: Sequence[int], v: int) -> tuple[int, int]:
+    """(level, 0-based position in it) of global 1-based vertex v, numbered level-major."""
+    rest = v - 1
+    for k, size in enumerate(levels):
+        if 0 <= rest < size:
+            return k, rest
+        rest -= size
+    raise ValueError(f"vertex {v} out of range 1..{sum(levels)}")

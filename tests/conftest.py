@@ -3,7 +3,9 @@
 Oracles here are deliberately independent of the library code paths they
 check: Warshall closure instead of the geometric series, DFS enumeration
 instead of matrix powers, exhaustive Cartesian filtering instead of the
-chained join, and a quartic submatrix scan instead of support nesting.
+chained join, a quartic submatrix scan instead of support nesting, the
+rabbit tree grown from "M"/"J" status strings instead of parent vectors,
+and a staircase read off every row's boundary instead of one row per level.
 """
 
 from __future__ import annotations
@@ -81,6 +83,55 @@ def naive_perm2x2(b: np.ndarray) -> bool:
                     if quad in ((True, False, False, True), (False, True, True, False)):
                         return True
     return False
+
+
+def rabbit_tree_oracle(n: int) -> GradedDigraph:
+    """The rabbit tree from status strings: M begets M and J, J begets M."""
+    generations: list[tuple[str, ...]] = [("J",)]
+    for _ in range(n - 1):
+        nxt: list[str] = []
+        for status in generations[-1]:
+            nxt.extend(("M", "J") if status == "M" else ("M",))
+        generations.append(tuple(nxt))
+    blocks = []
+    for parents, children in zip(generations, generations[1:]):
+        b = np.zeros((len(parents), len(children)), dtype=bool)
+        col = 0
+        for i, status in enumerate(parents):
+            width = 2 if status == "M" else 1
+            b[i, col : col + width] = True
+            col += width
+        blocks.append(b)
+    return GradedDigraph(tuple(len(g) for g in generations), tuple(blocks))
+
+
+def staircase_reference(z: np.ndarray) -> tuple:
+    """(level_sizes, violation) of a reflexive upper-triangular grid.
+
+    Reads every row's first 1 right of the diagonal, walks the levels by
+    those boundaries, and compares z with the staircase cell by cell.
+    """
+    z = np.asarray(z, dtype=bool)
+    n = z.shape[0]
+    if n == 0:
+        return (), None
+    boundaries = []
+    for i in range(n):
+        later = [j for j in range(i + 1, n) if z[i, j]]
+        boundaries.append(later[0] if later else None)
+    if boundaries[0] is None and n > 1:
+        return None, (1, 2)
+    sizes, start = [], 0
+    while start < n:
+        end = n if boundaries[start] is None else boundaries[start]
+        sizes.append(end - start)
+        start = end
+    level = [k for k, size in enumerate(sizes) for _ in range(size)]
+    for i in range(n):
+        for j in range(n):
+            if z[i, j] != (i == j or level[i] < level[j]):
+                return None, (i + 1, j + 1)
+    return tuple(sizes), None
 
 
 def brute_force_join(columns, links) -> set[tuple[str, ...]]:

@@ -441,7 +441,11 @@ def test_level_sizes_stop_once_the_cap_is_passed(capsys, monkeypatch):
     (["fibtree", "--levels", "40"], {"COBWEB_MAX_VERTICES": "10"}, 1,
      "exceeds COBWEB_MAX_VERTICES=10"),
     (["zeta", "--from", "MISSING"], {}, 1, "error: cannot read"),
-], ids=["help", "usage", "bad-seq", "cap", "fibtree-cap", "missing-file"])
+    (["paths", "--seq", "naturals", "--levels", "4", "--x", "0", "--y", "3"], {}, 1,
+     "vertex 0 out of range 1..10"),
+    (["paths", "--seq", "naturals", "--levels", "4", "--x", "1", "--y", "11"], {}, 1,
+     "vertex 11 out of range 1..10"),
+], ids=["help", "usage", "bad-seq", "cap", "fibtree-cap", "missing-file", "paths-x", "paths-y"])
 def test_early_exits_never_import_numpy(tmp_path, argv, env, status, message):
     argv = [str(tmp_path / "missing.json") if a == "MISSING" else a for a in argv]
     proc = subprocess.run(

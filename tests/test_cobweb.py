@@ -33,6 +33,7 @@ from conftest import (
     BUILTIN_SEQUENCES,
     dfs_count_paths,
     golden_text,
+    rabbit_tree_oracle,
     rand_bool_matrix,
     rand_graded_sizes,
     warshall_closure,
@@ -170,6 +171,15 @@ def test_leq_examples():
         leq(p, 1, 17)
     with pytest.raises(ValueError):
         leq(p, 0, 0)  # x == y is answered only after the range check
+
+
+def test_leq_refuses_digraphs_that_are_not_cobwebs():
+    # neither pair is ordered, though x sits on an earlier level than y
+    cases = [(delete_arcs(build_cobweb([1, 2, 2]), [(2, 4)]), 2, 4), (fibonacci_tree(4), 3, 7)]
+    for d, x, y in cases:
+        assert not transitive_closure(d).leq[x - 1, y - 1]
+        with pytest.raises(TypeError, match="transitive_closure"):
+            leq(d, x, y)
 
 
 def test_leq_does_not_build_the_zeta():
@@ -379,6 +389,11 @@ def test_fibonacci_tree_shapes():
     assert fibonacci_tree(1).levels == (1,)
     with pytest.raises(ValueError):
         fibonacci_tree(0)
+
+
+def test_fibonacci_tree_matches_the_status_string_oracle():
+    for n in range(1, 19):
+        assert fibonacci_tree(n) == rabbit_tree_oracle(n)
 
 
 def test_fibonacci_tree_is_a_tree_inside_the_cobweb():

@@ -16,7 +16,7 @@ from cobwebs.ferrers import (
 )
 from cobwebs.fseq import level_sizes
 
-from conftest import BUILTIN_SEQUENCES, golden_text, naive_perm2x2
+from conftest import BUILTIN_SEQUENCES, golden_text, naive_perm2x2, staircase_reference
 
 
 def small_bool_matrices(max_dim=7):
@@ -136,7 +136,7 @@ def test_staircase_profile_recovers_golden_sizes():
 
 
 def test_staircase_profile_on_identity():
-    assert staircase_profile(boolmat.zeros_matrix(0, 0)) == StaircaseProfile((), (), None)
+    assert staircase_profile(boolmat.zeros_matrix(0, 0)) == StaircaseProfile((), None)
     assert staircase_profile(boolmat.identity(1)).level_sizes == (1,)
     for n in (2, 3, 6):
         profile = staircase_profile(boolmat.identity(n))
@@ -183,6 +183,21 @@ def test_staircase_profile_on_corrupted_golden_grids(name, i, j, value, violatio
     z[i, j] = value
     profile = staircase_profile(z)
     assert (profile.violation, profile.level_sizes) == (violation, sizes)
+
+
+@given(
+    st.lists(st.integers(1, 6), min_size=2, max_size=7),
+    st.lists(st.tuples(st.integers(0, 41), st.integers(0, 41)), max_size=3),
+)
+def test_staircase_profile_agrees_with_the_row_boundary_reference(sizes, flips):
+    z = zeta_matrix(build_cobweb(sizes)).copy()
+    n = len(z)
+    for a, b in flips:  # a cell strictly above the diagonal
+        i, j = sorted((a % n, b % n))
+        if i < j:
+            z[i, j] = ~z[i, j]
+    profile = staircase_profile(z)
+    assert (profile.level_sizes, profile.violation) == staircase_reference(z)
 
 
 def test_staircase_profile_validates_input():
