@@ -12,11 +12,9 @@ _EXPORTS = {
         "bool_product",
         "closure_series",
         "direct_sum",
-        "from_text",
         "identity",
         "ones_matrix",
         "to_text",
-        "zeros_matrix",
     ),
     "cobweb": (
         "CobwebPoset",

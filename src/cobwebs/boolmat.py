@@ -36,12 +36,6 @@ def ones_matrix(r: int, c: int) -> BoolMatrix:
     return np.ones((r, c), dtype=bool)
 
 
-def zeros_matrix(r: int, c: int) -> BoolMatrix:
-    if r < 0 or c < 0:
-        raise ValueError(f"dimensions must be nonnegative, got {r}x{c}")
-    return np.zeros((r, c), dtype=bool)
-
-
 def identity(n: int) -> BoolMatrix:
     return np.eye(n, dtype=bool)
 
@@ -127,21 +121,3 @@ def to_text(m: BoolMatrix) -> str:
     buf[:, -1] = ord("\n")
     return buf.tobytes().decode("ascii")
 
-
-def from_text(text: str) -> BoolMatrix:
-    """Parse the ``to_text`` grid format back into a bool matrix."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        return np.zeros((0, 0), dtype=bool)
-    rows = []
-    width = None
-    for ln in lines:
-        entries = ln.split()
-        if any(e not in ("0", "1") for e in entries):
-            raise ValueError(f"invalid matrix line: {ln!r}")
-        if width is None:
-            width = len(entries)
-        elif len(entries) != width:
-            raise ValueError("ragged matrix text: rows have unequal lengths")
-        rows.append([e == "1" for e in entries])
-    return np.array(rows, dtype=bool)

@@ -102,7 +102,7 @@ def leq(p: CobwebPoset, x: int, y: int) -> bool:
     """
     if not isinstance(p, CobwebPoset):
         raise TypeError(f"leq needs a CobwebPoset, not {type(p).__name__}: use transitive_closure")
-    i, j = p.level_of(x), p.level_of(y)
+    i, j = p.locate(x)[0], p.locate(y)[0]
     return bool(x == y or i < j)
 
 

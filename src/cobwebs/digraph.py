@@ -99,10 +99,6 @@ class GradedDigraph:
         """(level, 0-based position within that level) of global 1-based vertex v."""
         return locate(self.levels, v)
 
-    def level_of(self, v: int) -> int:
-        """Level index of global 1-based vertex v."""
-        return self.locate(v)[0]
-
     def arcs(self) -> Iterator[tuple[int, int]]:
         """All arcs as global 1-based (source, target) pairs."""
         offsets = self.level_offsets
@@ -146,10 +142,6 @@ class Poset:
         if not isinstance(other, Poset):
             return NotImplemented
         return np.array_equal(self.leq, other.leq)
-
-    @property
-    def n(self) -> int:
-        return self.leq.shape[0]
 
 
 def push_path_counts(row: np.ndarray, arc_lists: Iterable[tuple]) -> np.ndarray:

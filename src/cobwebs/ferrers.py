@@ -46,10 +46,13 @@ class PermSubmatrixWitness:
 
 @dataclass(frozen=True)
 class ChainFerrersResult:
-    """Outcome of the blockwise Ferrers check over a chain of blocks."""
+    """Outcome of the blockwise Ferrers check; ``ok`` is derived from ``failures``."""
 
-    ok: bool
     failures: tuple[tuple[int, PermSubmatrixWitness], ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
     def __bool__(self) -> bool:
         return self.ok
@@ -154,7 +157,7 @@ def chain_is_ferrers(blocks: Sequence[BoolMatrix]) -> ChainFerrersResult:
             )
     witnesses = enumerate(map(has_perm2x2, blocks))  # one nesting check per block
     failures = tuple((k, w) for k, w in witnesses if w is not None)
-    return ChainFerrersResult(not failures, failures)
+    return ChainFerrersResult(failures)
 
 
 def staircase_profile(z: BoolMatrix) -> StaircaseProfile:

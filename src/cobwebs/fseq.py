@@ -11,7 +11,8 @@ A cobweb poset over a sequence F has levels of cardinality |Phi_k| = F_k
 
 The parameters q and c and the explicit sizes are integers: numpy
 integers are accepted and stored as Python ints, while 2.5 or "2" raise
-ValueError at construction.
+ValueError at construction.  Explicit sizes are checked however the
+sequence is built, through ``FSequence.explicit`` or the constructor.
 
 Values beyond the signed 64-bit range are reported as overflow rather
 than produced.
@@ -71,6 +72,8 @@ class FSequence:
         if self.kind == "constant":
             object.__setattr__(self, "c", _at_least(self.c, 1, "constant value"))
         if self.kind == "explicit":
+            values = () if self.values is None else self.values
+            object.__setattr__(self, "values", as_ints(values, "explicit sizes"))
             if not self.values:
                 raise ValueError("explicit sequence needs a nonempty list of sizes")
             bad = [v for v in self.values if v < 1]
@@ -95,7 +98,7 @@ class FSequence:
 
     @classmethod
     def explicit(cls, values) -> "FSequence":
-        return cls("explicit", values=as_ints(values, "explicit sizes"))
+        return cls("explicit", values=values)
 
     @classmethod
     def parse(cls, spec: str) -> "FSequence":
@@ -104,13 +107,13 @@ class FSequence:
         Accepted forms: ``naturals``, ``fibonacci``, ``gaussian:2``,
         ``constant:3``, ``explicit:1,1,2,3,5``.
         """
-        kind, _, arg = spec.partition(":")
+        kind, colon, arg = spec.partition(":")
         kind = kind.strip()
         try:
-            if kind == "naturals":
-                return cls.naturals()
-            if kind == "fibonacci":
-                return cls.fibonacci()
+            if kind in ("naturals", "fibonacci"):
+                if colon:
+                    raise ValueError(f"{kind} takes no argument")
+                return cls(kind)
             if kind == "gaussian":
                 return cls.gaussian(int(arg))
             if kind == "constant":
@@ -153,7 +156,7 @@ def level_sizes(seq: FSequence, n: int) -> list[int]:
     """The first n cardinalities [F_0, ..., F_{n-1}]."""
     if n < 1:
         raise ValueError(f"level count must be >= 1, got {n}")
-    return [level_size(seq, k) for k in range(n)]
+    return list(cobweb_sizes(seq, n))
 
 
 def cobweb_sizes(f: FSequence | Iterable[int], n: Optional[int] = None) -> Iterator[int]:
@@ -168,7 +171,7 @@ def cobweb_sizes(f: FSequence | Iterable[int], n: Optional[int] = None) -> Itera
         if n is None:
             raise ValueError(f"a level count is required with sequence {f.kind!r}")
         return (level_size(f, k) for k in range(n))
-    sizes = as_ints(f.values if isinstance(f, FSequence) else f, "level sizes")
+    sizes = f.values if isinstance(f, FSequence) else as_ints(f, "level sizes")
     if n is not None and n != len(sizes):
         raise ValueError(f"level count {n} disagrees with {len(sizes)} explicit sizes")
     return iter(sizes)

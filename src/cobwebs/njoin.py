@@ -60,12 +60,6 @@ class FiniteSet:
     def __contains__(self, label: str) -> bool:
         return label in self._position
 
-    def index(self, label: str) -> int:
-        try:
-            return self._position[label]
-        except KeyError:
-            raise ValueError(f"{label!r} is not in {self.labels}") from None
-
     def positions(self, labels: Sequence[str]) -> np.ndarray:
         """The positions of member labels, as an index array."""
         lookup = map(self._position.__getitem__, labels)

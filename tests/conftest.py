@@ -37,6 +37,10 @@ def golden_text(name: str) -> str:
     return (GOLDEN_DIR / name).read_text(encoding="utf-8")
 
 
+def golden_grid(name: str) -> np.ndarray:
+    return np.loadtxt(GOLDEN_DIR / name, dtype=int, ndmin=2).astype(bool)
+
+
 def cli_env(**extra):
     """The environment of a subprocess, with this package on PYTHONPATH."""
     src = str(Path(cobwebs.__file__).parents[1])

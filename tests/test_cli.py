@@ -445,7 +445,10 @@ def test_level_sizes_stop_once_the_cap_is_passed(capsys, monkeypatch):
      "vertex 0 out of range 1..10"),
     (["paths", "--seq", "naturals", "--levels", "4", "--x", "1", "--y", "11"], {}, 1,
      "vertex 11 out of range 1..10"),
-], ids=["help", "usage", "bad-seq", "cap", "fibtree-cap", "missing-file", "paths-x", "paths-y"])
+    (["hasse", "--seq", "naturals:5", "--levels", "3"], {}, 1,
+     "bad sequence spec 'naturals:5': naturals takes no argument"),
+], ids=["help", "usage", "bad-seq", "cap", "fibtree-cap", "missing-file", "paths-x", "paths-y",
+        "seq-argument"])
 def test_early_exits_never_import_numpy(tmp_path, argv, env, status, message):
     argv = [str(tmp_path / "missing.json") if a == "MISSING" else a for a in argv]
     proc = subprocess.run(

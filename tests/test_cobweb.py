@@ -197,7 +197,7 @@ def test_leq_agrees_with_zeta_and_block_composition():
     for x in range(1, n + 1):
         for y in range(1, n + 1):
             assert leq(p, x, y) == bool(z[x - 1, y - 1])
-            i, j = p.hasse.level_of(x), p.hasse.level_of(y)
+            i, j = p.hasse.locate(x)[0], p.hasse.locate(y)[0]
             if i < j:
                 # Boolean composition of the arc blocks between the levels
                 composed = reduce(boolmat.bool_product, p.hasse.blocks[i:j])
@@ -291,7 +291,7 @@ def test_count_paths_closed_form_and_dfs():
             y = rng.randint(1, p.n_vertices)
             got = count_paths(p, x, y)
             assert got == dfs_count_paths(a, x, y)
-            i, j = p.hasse.level_of(x), p.hasse.level_of(y)
+            i, j = p.hasse.locate(x)[0], p.hasse.locate(y)[0]
             if i < j:
                 product = 1
                 for t in range(i + 1, j):
@@ -353,7 +353,7 @@ def test_delete_arcs_noop_and_full_block():
     p = build_cobweb([1, 2, 3])
     assert delete_arcs(p, []) == p.hasse
 
-    removals = [(u, v) for (u, v) in p.hasse.arcs() if p.hasse.level_of(u) == 0]
+    removals = [(u, v) for (u, v) in p.hasse.arcs() if p.hasse.locate(u)[0] == 0]
     d = delete_arcs(p, removals)
     assert not d.blocks[0].any()
     z = transitive_closure(d).leq

@@ -16,7 +16,7 @@ from cobwebs.ferrers import (
 )
 from cobwebs.fseq import level_sizes
 
-from conftest import BUILTIN_SEQUENCES, golden_text, naive_perm2x2, staircase_reference
+from conftest import BUILTIN_SEQUENCES, golden_grid, naive_perm2x2, staircase_reference
 
 
 def small_bool_matrices(max_dim=7):
@@ -65,8 +65,8 @@ def test_is_ferrers_examples():
     assert is_ferrers(boolmat.ones_matrix(2, 2))
     assert is_ferrers(np.array([[1, 1], [0, 1]], dtype=bool))
     assert not is_ferrers(boolmat.identity(2))
-    assert is_ferrers(boolmat.zeros_matrix(3, 3))
-    assert is_ferrers(boolmat.zeros_matrix(0, 0))
+    assert is_ferrers(np.zeros((3, 3), dtype=bool))
+    assert is_ferrers(np.zeros((0, 0), dtype=bool))
 
 
 def test_is_ferrers_checks_the_pair_across_a_row_block_boundary():
@@ -129,14 +129,14 @@ def test_ferrers_closed_under_duplication(b, row, col):
 
 
 def test_staircase_profile_recovers_golden_sizes():
-    zn = boolmat.from_text(golden_text("zeta_n_16.txt"))
+    zn = golden_grid("zeta_n_16.txt")
     assert staircase_profile(zn).level_sizes == (1, 2, 3, 4, 5, 1)
-    zf = boolmat.from_text(golden_text("zeta_f_16.txt"))
+    zf = golden_grid("zeta_f_16.txt")
     assert staircase_profile(zf).level_sizes == (1, 1, 1, 2, 3, 5, 3)
 
 
 def test_staircase_profile_on_identity():
-    assert staircase_profile(boolmat.zeros_matrix(0, 0)) == StaircaseProfile((), None)
+    assert staircase_profile(np.zeros((0, 0), dtype=bool)) == StaircaseProfile((), None)
     assert staircase_profile(boolmat.identity(1)).level_sizes == (1,)
     for n in (2, 3, 6):
         profile = staircase_profile(boolmat.identity(n))
@@ -157,7 +157,7 @@ def test_staircase_profile_roundtrips_construction_sizes():
 
 
 def test_staircase_profile_reports_first_violation():
-    z = boolmat.from_text(golden_text("zeta_n_16.txt")).copy()
+    z = golden_grid("zeta_n_16.txt")
     z[5, 6] = False  # vertex 6 loses its first later-level one
     profile = staircase_profile(z)
     assert profile.violation == (6, 7)
@@ -179,7 +179,7 @@ def test_staircase_profile_reports_first_violation():
     ("zeta_f_16.txt", 13, 14, True, (14, 16), None),
 ])
 def test_staircase_profile_on_corrupted_golden_grids(name, i, j, value, violation, sizes):
-    z = boolmat.from_text(golden_text(name)).copy()
+    z = golden_grid(name)
     z[i, j] = value
     profile = staircase_profile(z)
     assert (profile.violation, profile.level_sizes) == (violation, sizes)
@@ -204,7 +204,7 @@ def test_staircase_profile_validates_input():
     with pytest.raises(ValueError):
         staircase_profile(boolmat.ones_matrix(2, 3))
     with pytest.raises(ValueError):
-        staircase_profile(boolmat.zeros_matrix(2, 2))
+        staircase_profile(np.zeros((2, 2), dtype=bool))
     full = boolmat.ones_matrix(2, 2)
     with pytest.raises(ValueError):
         staircase_profile(full)  # lower triangle occupied

@@ -97,6 +97,18 @@ def test_explicit_rejects_non_integer_sizes():
     assert FSequence.explicit(np.array([2, 3])).values == (2, 3)
 
 
+@pytest.mark.parametrize("values, bad", [((1.5, 2), "1.5"), (("a",), "'a'")])
+def test_constructor_checks_explicit_sizes_as_the_classmethod_does(values, bad):
+    with pytest.raises(ValueError, match=f"explicit sizes must be integers, got {bad}"):
+        FSequence("explicit", values=values)
+    assert FSequence("explicit", values=np.array([2, 3])) == FSequence.explicit([2, 3])
+
+
+def test_level_sizes_holds_explicit_sequences_to_their_length():
+    with pytest.raises(ValueError, match="level count 2 disagrees with 3 explicit sizes"):
+        level_sizes(FSequence.explicit([1, 2, 3]), 2)
+
+
 @pytest.mark.parametrize("make, bad, what", [
     (FSequence.gaussian, 2.5, "gaussian base"),
     (FSequence.gaussian, "2", "gaussian base"),
@@ -121,9 +133,12 @@ def test_parse_specs():
     assert FSequence.parse("gaussian:2") == FSequence.gaussian(2)
     assert FSequence.parse("constant:3") == FSequence.constant(3)
     assert FSequence.parse("explicit:1,1,2,3,5") == FSequence.explicit([1, 1, 2, 3, 5])
-    for bad in ("gauss:2", "gaussian:x", "gaussian", "explicit:", "constant:0", ""):
+    for bad in ("gauss:2", "gaussian:x", "gaussian", "explicit:", "constant:0", "",
+                "naturals:5", "fibonacci:", "fibonacci:x"):
         with pytest.raises(ValueError):
             FSequence.parse(bad)
+    with pytest.raises(ValueError, match="'naturals:5': naturals takes no argument"):
+        FSequence.parse("naturals:5")
 
 
 def test_oversized_values_reported_not_produced():

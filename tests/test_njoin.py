@@ -78,7 +78,7 @@ def ternary_fixture():
 def test_embed_biadjacency_examples():
     a = embed_biadjacency(np.array([[1, 1]], dtype=bool))
     assert a.mat.astype(int).tolist() == [[0, 1, 1], [0, 0, 0], [0, 0, 0]]
-    z = embed_biadjacency(boolmat.zeros_matrix(2, 2))
+    z = embed_biadjacency(np.zeros((2, 2), dtype=bool))
     assert z.shape == (2, 2) and not z.mat.any()
     wide = embed_biadjacency(boolmat.ones_matrix(2, 3))
     assert wide.mat[:2, 2:].all() and wide.mat.sum() == 6
@@ -117,19 +117,19 @@ def test_njoin_adjacency_worked_example():
 def test_zero_size_sides_embed_and_join():
     # an empty domain or codomain is a legal bipartite digraph: no rows or
     # no columns in its block, and only zeros in its square matrix
-    empty_dom = embed_biadjacency(boolmat.zeros_matrix(0, 3))
+    empty_dom = embed_biadjacency(np.zeros((0, 3), dtype=bool))
     assert empty_dom.shape == (0, 3) and empty_dom.mat.shape == (3, 3)
     assert not empty_dom.mat.any()
-    empty_ran = embed_biadjacency(boolmat.zeros_matrix(2, 0))
+    empty_ran = embed_biadjacency(np.zeros((2, 0), dtype=bool))
     assert empty_ran.shape == (2, 0) and empty_ran.mat.shape == (2, 2)
-    assert embed_biadjacency(boolmat.zeros_matrix(0, 0)).mat.shape == (0, 0)
+    assert embed_biadjacency(np.zeros((0, 0), dtype=bool)).mat.shape == (0, 0)
 
     joined = njoin_adjacency(empty_dom, embed_biadjacency(boolmat.ones_matrix(3, 2)))
     expected = np.zeros((5, 5), dtype=bool)
     expected[:3, 3:] = True
     assert np.array_equal(joined, expected)
     assert np.array_equal(
-        njoin_adjacency(empty_ran, embed_biadjacency(boolmat.zeros_matrix(0, 3))),
+        njoin_adjacency(empty_ran, embed_biadjacency(np.zeros((0, 3), dtype=bool))),
         np.zeros((5, 5), dtype=bool),
     )
     tail = njoin_adjacency(embed_biadjacency(boolmat.ones_matrix(1, 2)), empty_ran)
@@ -173,7 +173,7 @@ def test_reduced_composition():
     )
     assert np.array_equal(viaid.block, b)
     zero = reduced_composition(
-        embed_biadjacency(boolmat.zeros_matrix(2, 3)),
+        embed_biadjacency(np.zeros((2, 3), dtype=bool)),
         embed_biadjacency(rand_bool_matrix(rng, 3, 2)),
     )
     assert not zero.block.any()
@@ -457,9 +457,7 @@ def test_decomposability_matches_brute_force_rejoin(chain, data):
 
 def test_relation_validation():
     x = labels("x", 2)
-    assert x.index("x2") == 1 and "x2" in x and "x3" not in x
-    with pytest.raises(ValueError):
-        x.index("x3")
+    assert x.positions(["x2"]).tolist() == [1] and "x2" in x and "x3" not in x
     with pytest.raises(ValueError):
         BinaryRelation(x, x, frozenset({("x1", "nope")}))
     with pytest.raises(ValueError):
