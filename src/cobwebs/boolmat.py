@@ -29,6 +29,24 @@ def as_bool_matrix(rows: Sequence[Sequence[int]] | np.ndarray) -> BoolMatrix:
     return a
 
 
+def as_square_matrix(a: Sequence[Sequence[int]] | np.ndarray, name: str) -> BoolMatrix:
+    """Coerce to a square 2-d bool array; ``name`` is the noun the error uses."""
+    a = as_bool_matrix(a)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {a.shape}")
+    return a
+
+
+def check_join_condition(shapes: Sequence[tuple[int, int]]) -> None:
+    """The natural join condition: each block's columns are the next block's rows."""
+    for t in range(len(shapes) - 1):
+        if shapes[t][1] != shapes[t + 1][0]:
+            raise ValueError(
+                f"natural join condition violated at position {t}: shapes {shapes[t]} "
+                f"and {shapes[t + 1]} (columns of block {t}, rows of block {t + 1})"
+            )
+
+
 def ones_matrix(r: int, c: int) -> BoolMatrix:
     """The r x c all-ones block."""
     if r < 0 or c < 0:
@@ -63,17 +81,14 @@ def closure_series(a: BoolMatrix, reflexive: bool = True) -> BoolMatrix:
     and any n-rows input, cyclic or not, stops within ceil(log2 n) + 1.
     Cycles stay visible on the strict closure's diagonal.
     """
-    a = as_bool_matrix(a)
-    n = a.shape[0]
-    if n != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    a = as_square_matrix(a, "matrix")
     acc = a.copy()
     while True:
         nxt = acc | bool_product(acc, acc)
         if np.array_equal(nxt, acc):
             break
         acc = nxt
-    return acc | identity(n) if reflexive else acc
+    return acc | identity(len(a)) if reflexive else acc
 
 
 def _place(out: BoolMatrix, blocks: Sequence[BoolMatrix]) -> BoolMatrix:

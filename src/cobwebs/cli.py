@@ -5,8 +5,8 @@ DOT drawings, count Hasse paths, join/compose relations from JSON files,
 run Ferrers and dimension-2 checks, and decompose n-ary relations into
 binary chains.  ``main`` writes every output: each handler returns its
 text and exit status.  Exit status 0 on success, 1 on a failed check, on
-invalid input and on an unwritable --out (message on stderr) or a closed
-stdout, 2 on usage errors.
+invalid input, on running out of memory and on an unwritable --out
+(message on stderr) or a closed stdout, 2 on usage errors.
 
 Each process runs one subcommand, so the command loads only what that
 subcommand runs, and only once its input has been read and checked.  The
@@ -24,8 +24,7 @@ the library.
 The environment variable COBWEB_MAX_VERTICES (a positive integer, default
 10000) caps the size of any constructed digraph.  For --seq and
 ``fibtree`` the cap is checked on the level sizes before any arc block
-exists; for --from, once the file is read and checked, before any
-closure or grid is built.
+exists; for --from, on the file's level sizes before any arc is read.
 """
 
 from __future__ import annotations
@@ -94,9 +93,8 @@ def _resolve_digraph(args: argparse.Namespace) -> cobwebs.digraph.GradedDigraph:
     """A graded digraph from --from, or a cobweb from --seq/--levels."""
     if getattr(args, "from_path", None):
         data = _load_json(args.from_path)
-        d = cobwebs.digraph.digraph_from_json(data)
-        _check_size(d.levels)
-        return d
+        _check_size(cobwebs.digraph.levels_from_json(data))  # before any arc is read
+        return cobwebs.digraph.digraph_from_json(data)
     if not args.seq:
         raise ValueError("either --seq or --from is required")
     sizes = _sizes(FSequence.parse(args.seq), args.levels)
@@ -323,8 +321,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # interpreter's final flush stays quiet, as the ``signal`` docs do
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ValueError, IndexError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, IndexError, OverflowError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -9,7 +9,8 @@ staircase pattern characteristic of cobwebs: above the diagonal, zeros
 exactly within a vertex's own level and ones on every later level.
 
 A ``CobwebPoset`` is its Hasse digraph, a ``GradedDigraph`` with every
-arc block complete, so whatever takes a graded digraph takes a cobweb.
+arc block complete, so whatever takes a graded digraph takes a cobweb;
+like every graded digraph it has at least one level, each nonempty.
 
 Cobweb posets have order dimension at most 2: the level-major labeling
 and its within-level reversal intersect to the partial order, which
@@ -73,15 +74,9 @@ class Realizer:
 
 def build_cobweb(f: FSequence | Iterable[int], n: Optional[int] = None) -> CobwebPoset:
     """Build the cobweb poset with levels sized by f (see ``cobweb_sizes``)."""
-    sizes = list(cobweb_sizes(f, n))
-    if not sizes:
-        raise ValueError("at least one level is required")
-    if any(s < 1 for s in sizes):
-        raise ValueError(f"level sizes must be >= 1, got {sizes}")
-    blocks = tuple(
-        ones_matrix(sizes[k], sizes[k + 1]) for k in range(len(sizes) - 1)
-    )
-    return CobwebPoset(tuple(sizes), blocks)
+    sizes = tuple(cobweb_sizes(f, n))
+    blocks = (ones_matrix(r, c) for r, c in zip(sizes, sizes[1:]))  # read after the size checks
+    return CobwebPoset(sizes, blocks)
 
 
 def hasse_matrix(p: CobwebPoset) -> BoolMatrix:

@@ -1,7 +1,7 @@
 """Graded digraphs, their posets, and closure/reduction operators.
 
-A graded digraph partitions its vertices into levels Phi_0, ..., Phi_n and
-only has arcs from one level to the next, so it is acyclic by construction.
+A graded digraph has one or more nonempty levels Phi_0, ..., Phi_n and only
+arcs from one level to the next, so it is acyclic by construction.
 Vertices carry a global 1-based index assigned level-major, left to right
 within a level; that numbering makes printed adjacency and zeta grids
 literal row/column indices.
@@ -35,6 +35,7 @@ import numpy as np
 from .boolmat import (
     BoolMatrix,
     as_bool_matrix,
+    as_square_matrix,
     bool_product,
     chain_adjacency,
     closure_series,
@@ -62,14 +63,16 @@ class GradedDigraph:
 
     def __post_init__(self) -> None:
         levels = as_ints(self.levels, "level sizes")
-        blocks = tuple(_freeze(as_bool_matrix(b)) for b in self.blocks)
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "blocks", blocks)
+        if not levels:
+            raise ValueError("at least one level is required")
         if any(s < 1 for s in levels):
             raise ValueError(f"level sizes must be >= 1, got {levels}")
-        if len(blocks) != max(len(levels) - 1, 0):
+        blocks = tuple(_freeze(as_bool_matrix(b)) for b in self.blocks)  # after the level checks
+        object.__setattr__(self, "blocks", blocks)
+        if len(blocks) != len(levels) - 1:
             raise ValueError(
-                f"expected {max(len(levels) - 1, 0)} arc blocks for "
+                f"expected {len(levels) - 1} arc blocks for "
                 f"{len(levels)} levels, got {len(blocks)}"
             )
         for k, b in enumerate(blocks):
@@ -126,14 +129,11 @@ class Poset:
         return p
 
     def __post_init__(self) -> None:
-        z = _freeze(as_bool_matrix(self.leq))
+        z = _freeze(as_square_matrix(self.leq, "zeta matrix"))
         object.__setattr__(self, "leq", z)
-        n = z.shape[0]
-        if n != z.shape[1]:
-            raise ValueError(f"zeta matrix must be square, got {z.shape}")
         if not z.diagonal().all():
             raise ValueError("zeta matrix must be reflexive")
-        if (z & z.T & ~identity(n)).any():
+        if (z & z.T & ~identity(len(z))).any():
             raise ValueError("zeta matrix must be antisymmetric")
         if (bool_product(z, z) & ~z).any():
             raise ValueError("zeta matrix must be transitive")
@@ -158,7 +158,7 @@ def push_path_counts(row: np.ndarray, arc_lists: Iterable[tuple]) -> np.ndarray:
 
 def global_adjacency(d: GradedDigraph) -> BoolMatrix:
     """Square adjacency matrix, strictly upper triangular."""
-    return chain_adjacency(d.blocks, d.levels[0] if d.levels else 0)
+    return chain_adjacency(d.blocks, d.levels[0])
 
 
 def _dag_sweep(a: BoolMatrix) -> tuple[BoolMatrix, BoolMatrix]:
@@ -170,8 +170,6 @@ def _dag_sweep(a: BoolMatrix) -> tuple[BoolMatrix, BoolMatrix]:
     only the vertices Kahn left out are closed, to name the smallest.
     """
     n = a.shape[0]
-    if n != a.shape[1]:
-        raise ValueError(f"adjacency matrix must be square, got {a.shape}")
     succ = [np.flatnonzero(row) for row in a]
     indeg = a.sum(axis=0)
     order = list(np.flatnonzero(indeg == 0))
@@ -220,7 +218,7 @@ def transitive_closure(d: GradedDigraph | BoolMatrix) -> Poset:
     """
     if isinstance(d, GradedDigraph):
         return Poset._trusted(_level_sweep_zeta(d))
-    z = _dag_sweep(as_bool_matrix(d))[0]
+    z = _dag_sweep(as_square_matrix(d, "adjacency matrix"))[0]
     np.fill_diagonal(z, True)
     return Poset._trusted(z)
 
@@ -232,7 +230,7 @@ def transitive_reduction(a: BoolMatrix) -> BoolMatrix:
     >= 2 joins x to y, i.e. when y is reached from another successor of
     x; one reverse-topological sweep finds them (see ``_dag_sweep``).
     """
-    return _dag_sweep(as_bool_matrix(a))[1]
+    return _dag_sweep(as_square_matrix(a, "adjacency matrix"))[1]
 
 
 def is_transitive_irreducible(a: BoolMatrix) -> bool:
@@ -243,9 +241,7 @@ def is_transitive_irreducible(a: BoolMatrix) -> bool:
 
 def to_dot(d: GradedDigraph) -> str:
     """Render as a DOT digraph, one rank per level."""
-    lines = ["digraph {"]
-    if d.levels:
-        lines.append("  rankdir=BT;")
+    lines = ["digraph {", "  rankdir=BT;"]
     for v in range(1, d.n_vertices + 1):
         lines.append(f"  {v};")
     offsets = d.level_offsets
@@ -266,16 +262,25 @@ def digraph_to_json(d: GradedDigraph) -> dict:
     }
 
 
-def digraph_from_json(data: dict) -> GradedDigraph:
-    """Inverse of ``digraph_to_json``; the JSON shape is checked before numpy sees it."""
+def levels_from_json(data: dict) -> tuple[int, ...]:
+    """The level sizes of digraph JSON, checked to be integers; no arc is read."""
     try:
         levels = tuple(data["levels"])
-        arcs = list(data["arcs"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad digraph JSON: {exc}") from None
     for s in levels:
         if type(s) is not int:  # int() would accept 1.5, "1" and true
             raise ValueError(f"bad digraph JSON: level size {s!r} is not an integer")
+    return levels
+
+
+def digraph_from_json(data: dict) -> GradedDigraph:
+    """Inverse of ``digraph_to_json``; the JSON shape is checked before numpy sees it."""
+    levels = levels_from_json(data)
+    try:
+        arcs = list(data["arcs"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"bad digraph JSON: {exc}") from None
     for k, b in enumerate(arcs):
         if not isinstance(b, list) or not all(
             isinstance(row, list) and all(type(x) is int and x in (0, 1) for x in row)

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .boolmat import ROW_BLOCK, BoolMatrix, as_bool_matrix
+from .boolmat import ROW_BLOCK, BoolMatrix, as_bool_matrix, as_square_matrix, check_join_condition
 
 
 @dataclass(frozen=True)
@@ -136,9 +136,7 @@ def strict_order_is_ferrers(z: BoolMatrix) -> bool:
 
     Equals ``is_ferrers`` of z with its diagonal cleared, without copying z.
     """
-    z = as_bool_matrix(z)
-    if z.shape[0] != z.shape[1]:
-        raise ValueError(f"order matrix must be square, got {z.shape}")
+    z = as_square_matrix(z, "order matrix")
     return _rows_nested(z, z.sum(axis=1) - z.diagonal(), strict=True)
 
 
@@ -149,12 +147,7 @@ def chain_is_ferrers(blocks: Sequence[BoolMatrix]) -> ChainFerrersResult:
     dimension one; every failing block is reported with its witness.
     """
     blocks = [as_bool_matrix(b) for b in blocks]
-    for k in range(len(blocks) - 1):
-        if blocks[k].shape[1] != blocks[k + 1].shape[0]:
-            raise ValueError(
-                f"chain not conformable at block {k}: {blocks[k].shape} then "
-                f"{blocks[k + 1].shape}"
-            )
+    check_join_condition([b.shape for b in blocks])
     witnesses = enumerate(map(has_perm2x2, blocks))  # one nesting check per block
     failures = tuple((k, w) for k, w in witnesses if w is not None)
     return ChainFerrersResult(failures)
@@ -172,10 +165,8 @@ def staircase_profile(z: BoolMatrix) -> StaircaseProfile:
     at the first later one in its first row; any other violation is the
     first cell, in row-major order, where z differs from that staircase.
     """
-    z = as_bool_matrix(z)
+    z = as_square_matrix(z, "zeta matrix")
     n = z.shape[0]
-    if n != z.shape[1]:
-        raise ValueError(f"zeta matrix must be square, got {z.shape}")
     if not z.diagonal().all():
         raise ValueError("zeta matrix must be reflexive")
     if np.tril(z, -1).any():

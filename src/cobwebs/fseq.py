@@ -11,8 +11,9 @@ A cobweb poset over a sequence F has levels of cardinality |Phi_k| = F_k
 
 The parameters q and c and the explicit sizes are integers: numpy
 integers are accepted and stored as Python ints, while 2.5 or "2" raise
-ValueError at construction.  Explicit sizes are checked however the
-sequence is built, through ``FSequence.explicit`` or the constructor.
+ValueError at construction, as does a parameter the kind does not take.
+Explicit sizes are checked however the sequence is built, through
+``FSequence.explicit`` or the constructor.
 
 Values beyond the signed 64-bit range are reported as overflow rather
 than produced.
@@ -26,7 +27,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 MAX_LEVEL_SIZE = 2**63 - 1
 
-KINDS = ("naturals", "fibonacci", "gaussian", "constant", "explicit")
+KINDS = {"naturals": None, "fibonacci": None, "gaussian": "q", "constant": "c",
+         "explicit": "values"}  # each kind and the one parameter it takes
 
 
 def as_ints(values: Iterable, what: str) -> tuple[int, ...]:
@@ -67,6 +69,9 @@ class FSequence:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown sequence kind {self.kind!r}")
+        for name in ("q", "c", "values"):
+            if getattr(self, name) is not None and name != KINDS[self.kind]:
+                raise ValueError(f"{self.kind} sequence takes no {name}")
         if self.kind == "gaussian":
             object.__setattr__(self, "q", _at_least(self.q, 2, "gaussian base"))
         if self.kind == "constant":

@@ -35,7 +35,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .boolmat import BoolMatrix, as_bool_matrix, bool_product, chain_adjacency
+from .boolmat import (BoolMatrix, as_bool_matrix, bool_product, chain_adjacency,
+                      check_join_condition)
 from .digraph import GradedDigraph, push_path_counts
 
 
@@ -201,15 +202,6 @@ def embed_biadjacency(b: BoolMatrix) -> AdjacencyMatrix:
     return AdjacencyMatrix(b)
 
 
-def _check_join_chain(mats: Sequence[AdjacencyMatrix]) -> None:
-    for t in range(len(mats) - 1):
-        if mats[t].shape[1] != mats[t + 1].k:
-            raise ValueError(
-                f"natural join condition violated at position {t}: shapes "
-                f"{mats[t].shape} and {mats[t + 1].shape}"
-            )
-
-
 def njoin_adjacency(a1: AdjacencyMatrix, a2: AdjacencyMatrix) -> BoolMatrix:
     """Natural join of two adjacency matrices sharing their middle set.
 
@@ -222,13 +214,13 @@ def njoin_fold(mats: Sequence[AdjacencyMatrix]) -> BoolMatrix:
     """Left fold of the natural join over a chain of adjacency matrices."""
     if not mats:
         raise ValueError("cannot fold an empty chain")
-    _check_join_chain(mats)
+    check_join_condition([a.shape for a in mats])
     return chain_adjacency([a.block for a in mats], mats[0].k)
 
 
 def reduced_composition(a1: AdjacencyMatrix, a2: AdjacencyMatrix) -> AdjacencyMatrix:
     """Compose along the middle set: biadjacency blocks Boolean-multiply."""
-    _check_join_chain((a1, a2))
+    check_join_condition([a1.shape, a2.shape])
     return AdjacencyMatrix(bool_product(a1.block, a2.block))
 
 
@@ -247,8 +239,6 @@ def njoin_digraphs(g1: BinaryRelation, g2: BinaryRelation) -> GradedDigraph:
 
 def njoin_graded(d1: GradedDigraph, d2: GradedDigraph) -> GradedDigraph:
     """Natural join of two graded digraphs along the shared boundary level."""
-    if not d1.levels or not d2.levels:
-        raise ValueError("cannot join an empty graded digraph")
     if d1.levels[-1] != d2.levels[0]:
         raise ValueError(
             f"boundary levels differ: {d1.levels[-1]} vs {d2.levels[0]}"

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cobwebs import boolmat
+from cobwebs import boolmat, digraph
 from cobwebs.cobweb import build_cobweb, hasse_matrix
-from cobwebs.digraph import GradedDigraph, global_adjacency
+from cobwebs.digraph import GradedDigraph, Poset, global_adjacency
+from cobwebs.ferrers import chain_is_ferrers, staircase_profile, strict_order_is_ferrers
 from cobwebs.fseq import FSequence, level_sizes
+from cobwebs.njoin import embed_biadjacency, njoin_fold, reduced_composition
 
 from conftest import (
     BUILTIN_SEQUENCES,
@@ -87,6 +89,32 @@ def test_closure_of_zeros_is_identity():
 def test_closure_requires_square():
     with pytest.raises(ValueError):
         boolmat.closure_series(boolmat.ones_matrix(2, 3))
+
+
+@pytest.mark.parametrize("call, noun", [
+    (boolmat.closure_series, "matrix"),
+    (Poset, "zeta matrix"),
+    (strict_order_is_ferrers, "order matrix"),
+    (staircase_profile, "zeta matrix"),
+    (digraph.transitive_closure, "adjacency matrix"),
+    (digraph.transitive_reduction, "adjacency matrix"),
+    (digraph.is_transitive_irreducible, "adjacency matrix"),
+])
+def test_every_square_check_raises_the_one_message(call, noun):
+    with pytest.raises(ValueError, match=rf"^{noun} must be square, got shape \(2, 3\)$"):
+        call(np.ones((2, 3), dtype=bool))
+
+
+@pytest.mark.parametrize("call", [
+    lambda a, b: chain_is_ferrers([a, b]),
+    lambda a, b: njoin_fold([embed_biadjacency(a), embed_biadjacency(b)]),
+    lambda a, b: reduced_composition(embed_biadjacency(a), embed_biadjacency(b)),
+], ids=["chain_is_ferrers", "njoin_fold", "reduced_composition"])
+def test_every_join_check_raises_the_one_message(call):
+    message = (r"^natural join condition violated at position 0: shapes \(1, 2\) and "
+               r"\(3, 1\) \(columns of block 0, rows of block 1\)$")
+    with pytest.raises(ValueError, match=message):
+        call(np.ones((1, 2), dtype=bool), np.ones((3, 1), dtype=bool))
 
 
 @given(square_bool_matrices(max_n=10), st.booleans())

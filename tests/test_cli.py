@@ -1,6 +1,7 @@
 import argparse
 import json
 import random
+import resource
 import subprocess
 import sys
 
@@ -340,6 +341,20 @@ def test_closed_stdout_exits_1_without_a_traceback():
     assert b"Traceback" not in err and b"Exception ignored" not in err
 
 
+def test_out_of_memory_exits_1_without_a_traceback():
+    # numpy asks for the 100,000 x 100,000 block at once; a 1 GB address space refuses it
+    limit = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "cobwebs.cli", "build", "--seq", "constant:100000", "--levels", "2"],
+        env=cli_env(COBWEB_MAX_VERTICES="200000", OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 # every subcommand's usage at 80 columns: option order, with --out last
 USAGES = {
     "build": "usage: cobweb build [-h] [--seq SEQ] [--levels LEVELS] [--out OUT]\n",
@@ -564,6 +579,27 @@ def test_deeply_nested_json_is_a_domain_error(capsys, tmp_path, command):
     status, out, err = run(capsys, *(a.format(path=path) for a in command))
     assert status == 1 and out == ""
     assert f"error: {path} is not valid JSON" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["zeta", "dot", "check-ferrers", "check-dim2"])
+def test_zero_level_digraph_json_is_a_domain_error(capsys, tmp_path, command):
+    path = write_json(tmp_path / "empty.json", {"levels": [], "arcs": []})
+    status, out, err = run(capsys, command, "--from", path)
+    assert status == 1 and out == ""
+    assert err == "error: at least one level is required\n"
+
+
+@pytest.mark.parametrize("arcs", [[[[1] * 6] * 6], [[["x"]]]], ids=["arcs", "bad-arcs"])
+def test_from_cap_is_checked_before_any_arc_is_read(capsys, tmp_path, monkeypatch, arcs):
+    def never(*args):
+        raise AssertionError("graded digraph built past the vertex cap")
+
+    monkeypatch.setattr(digraph, "GradedDigraph", never)
+    monkeypatch.setenv("COBWEB_MAX_VERTICES", "10")
+    path = write_json(tmp_path / "big.json", {"levels": [6, 6], "arcs": arcs})
+    status, out, err = run(capsys, "zeta", "--from", path)
+    assert status == 1 and out == ""
+    assert err == "error: construction of at least 12 vertices exceeds COBWEB_MAX_VERTICES=10\n"
 
 
 def test_digraph_json_arc_entries_are_integers(capsys, tmp_path):

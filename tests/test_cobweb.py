@@ -70,6 +70,21 @@ def test_build_cobweb_degenerate_cases():
         CobwebPoset((2, 2), (boolmat.identity(2),))
 
 
+def test_zero_levels_are_rejected():
+    for make in (GradedDigraph, CobwebPoset):
+        with pytest.raises(ValueError, match="at least one level is required"):
+            make((), ())
+    with pytest.raises(ValueError, match="at least one level is required"):
+        build_cobweb([])
+
+
+def test_build_cobweb_checks_sizes_before_making_blocks(monkeypatch):
+    monkeypatch.setattr(cobweb, "ones_matrix", lambda r, c: pytest.fail(f"{r}x{c} block made"))
+    for sizes in ([2, 0, 3], [2, -1]):
+        with pytest.raises(ValueError, match="level sizes must be >= 1"):
+            build_cobweb(sizes)
+
+
 def test_cobweb_is_its_hasse_digraph():
     p = build_cobweb([1, 2, 3])
     assert isinstance(p, GradedDigraph)

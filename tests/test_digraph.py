@@ -241,10 +241,6 @@ def test_to_dot_small():
         assert vertex in dot
 
 
-def test_to_dot_empty_graph():
-    assert digraph.to_dot(GradedDigraph((), ())) == "digraph {\n}\n"
-
-
 def test_json_roundtrip():
     rng = random.Random(31)
     for _ in range(25):

@@ -120,6 +120,18 @@ def test_parameters_must_be_integers(make, bad, what):
         make(bad)
 
 
+@pytest.mark.parametrize("kind, params, name", [
+    ("naturals", {"q": 5, "values": (1.5,)}, "q"),
+    ("constant", {"c": 3, "values": ("x",)}, "values"),
+    ("fibonacci", {"c": 2}, "c"),
+    ("gaussian", {"q": 2, "values": ()}, "values"),
+    ("explicit", {"values": (1, 2), "q": 2}, "q"),
+])
+def test_a_kind_takes_only_its_own_parameter(kind, params, name):
+    with pytest.raises(ValueError, match=f"^{kind} sequence takes no {name}$"):
+        FSequence(kind, **params)
+
+
 def test_numpy_integer_parameters_become_python_ints():
     q, c = FSequence.gaussian(np.int64(3)).q, FSequence.constant(np.uint8(4)).c
     assert (q, c) == (3, 4) and type(q) is int and type(c) is int
