@@ -8,23 +8,33 @@ text and exit status.  Exit status 0 on success, 1 on a failed check, on
 invalid input, on running out of memory and on an unwritable --out
 (message on stderr) or a closed stdout, 2 on usage errors.
 
+The subcommands that take --seq or --from (build, hasse, zeta, dot,
+paths, check-ferrers, check-dim2) share one handler.  ``_resolve`` reads
+the source once and picks one of two answer tables: --seq gives the
+level sizes of a complete cobweb, which ``_FROM_SIZES`` answers in
+closed form through ``fseq``, with no numpy, no matrix and no closure;
+--from (and ``fibtree``) gives a ``GradedDigraph``, which
+``_FROM_DIGRAPH`` answers through its matrices.  Both write the same
+bytes for the same cobweb.
+
 Each process runs one subcommand, so the command loads only what that
 subcommand runs, and only once its input has been read and checked.  The
 top level imports argparse, json, ``fseq`` and the ``cobwebs`` package,
 which loads no submodule by itself; every other call into the library is
 written ``cobwebs.<module>.<name>``, and the package imports that module,
 and so numpy, on first use.  Those calls come after the checks, so
-``--help``, usage errors, a bad --seq, the vertex cap, a --seq ``paths``
-vertex out of range and an unreadable file are answered before numpy is
-imported, and ``zeta`` never loads ``njoin`` or ``ferrers``.  Python looks
-a callee up before it evaluates the arguments, so input is read and
+``--help``, usage errors, every --seq answer, the vertex cap and an
+unreadable file never import numpy, and no cobweb subcommand loads
+``njoin``, nor ``ferrers`` unless it checks a --from digraph.  Python
+looks a callee up before it evaluates the arguments, so input is read and
 checked in a statement of its own, not inside the call that hands it to
 the library.
 
 The environment variable COBWEB_MAX_VERTICES (a positive integer, default
 10000) caps the size of any constructed digraph.  For --seq and
-``fibtree`` the cap is checked on the level sizes before any arc block
-exists; for --from, on the file's level sizes before any arc is read.
+``fibtree`` the cap is checked on the level sizes before any output or
+arc block exists; for --from, on the file's level sizes before any arc
+is read.
 """
 
 from __future__ import annotations
@@ -37,7 +47,15 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import cobwebs
 
-from .fseq import FSequence, cobweb_sizes, locate
+from .fseq import (
+    FSequence,
+    cobweb_arcs,
+    cobweb_grid,
+    cobweb_json,
+    cobweb_path_count,
+    cobweb_sizes,
+    dot_text,
+)
 
 DEFAULT_MAX_VERTICES = 10000
 
@@ -89,19 +107,18 @@ def _load_json(path: str) -> dict:
         raise ValueError(f"{path} is not valid JSON: {exc}")
 
 
-def _resolve_digraph(args: argparse.Namespace) -> cobwebs.digraph.GradedDigraph:
-    """A graded digraph from --from, or a cobweb from --seq/--levels."""
+def _resolve(args: argparse.Namespace) -> tuple[dict, object]:
+    """The answer table and its source: a graded digraph from --from, level sizes from --seq."""
     if getattr(args, "from_path", None):
         data = _load_json(args.from_path)
         _check_size(cobwebs.digraph.levels_from_json(data))  # before any arc is read
-        return cobwebs.digraph.digraph_from_json(data)
+        return _FROM_DIGRAPH, cobwebs.digraph.digraph_from_json(data)
     if not args.seq:
         raise ValueError("either --seq or --from is required")
     sizes = _sizes(FSequence.parse(args.seq), args.levels)
-    if args.command == "paths":  # a vertex out of range is reported before any block exists
-        for v in (args.x, args.y):
-            locate(sizes, v)
-    return cobwebs.cobweb.build_cobweb(sizes)
+    if not sizes:  # --levels 0 or below, which a graded digraph refuses
+        raise ValueError("at least one level is required")
+    return _FROM_SIZES, sizes
 
 
 def _load_relations(args: argparse.Namespace) -> list[cobwebs.njoin.BinaryRelation]:
@@ -145,9 +162,6 @@ def _json_grid_pieces(m: cobwebs.boolmat.BoolMatrix) -> Iterator[str]:
     import numpy as np
 
     rows, cols = m.shape
-    if not m.size:
-        yield _json_text(m.astype(int).tolist())
-        return
     step = cobwebs.boolmat.ROW_BLOCK
     row = np.frombuffer((b"  [\n" + b"    0,\n" * cols)[:-2] + b"\n  ],\n", dtype=np.uint8)
     yield "[\n"
@@ -160,30 +174,65 @@ def _json_grid_pieces(m: cobwebs.boolmat.BoolMatrix) -> Iterator[str]:
     yield "\n]\n"
 
 
-# -- subcommand handlers: each returns (text or its pieces, exit status) -----
+def _ferrers_report(failures: Sequence, strict_ok: bool) -> tuple[str, int]:
+    """check-ferrers' lines and exit status: the failing blocks, then the strict order."""
+    lines = ([f"FAIL: block {k} {witness.describe()}" for k, witness in failures]
+             or ["OK: all blocks Ferrers"])
+    lines.append("OK: strict order matrix Ferrers" if strict_ok
+                 else "FAIL: strict order matrix not Ferrers")
+    return "".join(ln + "\n" for ln in lines), 0 if not failures and strict_ok else 1
 
-# a digraph in each --format; ``cobwebs.digraph`` is read at call time, so
-# wrappers installed on it (tracing, test doubles) apply
-_DIGRAPH_WRITERS = {
-    "json": lambda d: _json_text(cobwebs.digraph.digraph_to_json(d)),
-    "text": lambda d: _text_grid_pieces(cobwebs.digraph.global_adjacency(d)),
-    "dot": lambda d: cobwebs.digraph.to_dot(d),
+
+def _dim2_report(ok: bool) -> tuple[str, int]:
+    if ok:
+        return "OK: realizer of two linear orders verified\n", 0
+    return "FAIL: linear-order intersection differs from the partial order\n", 1
+
+
+def _check_ferrers(d: cobwebs.digraph.GradedDigraph) -> tuple[str, int]:
+    result = cobwebs.ferrers.chain_is_ferrers(list(d.blocks))
+    strict_ok = cobwebs.ferrers.strict_order_is_ferrers(cobwebs.digraph.transitive_closure(d).leq)
+    return _ferrers_report(result.failures, strict_ok)
+
+
+# -- answers: (text or its pieces, exit status), keyed by (answer, format) ---
+
+# from a graded digraph (--from, fibtree) through its matrices; ``cobwebs.<module>``
+# is read at call time, so wrappers installed on it (tracing, test doubles) apply
+_FROM_DIGRAPH = {
+    ("digraph", "json"): lambda d, a: (_json_text(cobwebs.digraph.digraph_to_json(d)), 0),
+    ("digraph", "text"): lambda d, a: (
+        _text_grid_pieces(cobwebs.digraph.global_adjacency(d)), 0),
+    ("digraph", "dot"): lambda d, a: (cobwebs.digraph.to_dot(d), 0),
+    ("zeta", "text"): lambda d, a: (
+        _text_grid_pieces(cobwebs.digraph.transitive_closure(d).leq), 0),
+    ("zeta", "json"): lambda d, a: (
+        _json_grid_pieces(cobwebs.digraph.transitive_closure(d).leq), 0),
+    ("paths", None): lambda d, a: (f"{cobwebs.cobweb.count_paths(d, a.x, a.y)}\n", 0),
+    ("check-ferrers", None): lambda d, a: _check_ferrers(d),
+    ("check-dim2", None): lambda d, a: _dim2_report(cobwebs.cobweb.verify_dim2(d)),
+}
+
+# from the level sizes of a complete cobweb (--seq) in closed form: no numpy.
+# Its blocks are all ones and its strict order's rows nest level by level, so
+# both are Ferrers; its level-major realizer is exact (``cobweb.realizer``)
+_FROM_SIZES = {
+    ("digraph", "json"): lambda s, a: (cobweb_json(s), 0),
+    ("digraph", "text"): lambda s, a: (cobweb_grid(s, "hasse", "text"), 0),
+    ("digraph", "dot"): lambda s, a: (dot_text(s, cobweb_arcs(s)), 0),
+    ("zeta", "text"): lambda s, a: (cobweb_grid(s, "zeta", "text"), 0),
+    ("zeta", "json"): lambda s, a: (cobweb_grid(s, "zeta", "json"), 0),
+    ("paths", None): lambda s, a: (f"{cobweb_path_count(s, a.x, a.y)}\n", 0),
+    ("check-ferrers", None): lambda s, a: _ferrers_report((), True),
+    ("check-dim2", None): lambda s, a: _dim2_report(True),
 }
 
 
-def _cmd_digraph(args):
-    return _DIGRAPH_WRITERS[args.format](_resolve_digraph(args)), 0
+# -- subcommand handlers: each returns (text or its pieces, exit status) -----
 
-
-def _cmd_zeta(args):
-    d = _resolve_digraph(args)
-    z = cobwebs.digraph.transitive_closure(d).leq
-    return (_json_grid_pieces if args.format == "json" else _text_grid_pieces)(z), 0
-
-
-def _cmd_paths(args):
-    d = _resolve_digraph(args)
-    return f"{cobwebs.cobweb.count_paths(d, args.x, args.y)}\n", 0
+def _cmd_answer(args):
+    answers, source = _resolve(args)
+    return answers[args.answer, args.format](source, args)
 
 
 def _cmd_join(args):
@@ -195,26 +244,6 @@ def _cmd_compose(args):
     relations = _load_relations(args)
     composed = cobwebs.njoin.compose_relations(*relations)
     return _json_text(cobwebs.njoin.relation_to_json(composed)), 0
-
-
-def _cmd_check_ferrers(args):
-    d = _resolve_digraph(args)
-    result = cobwebs.ferrers.chain_is_ferrers(list(d.blocks))
-    if result.ok:
-        lines = ["OK: all blocks Ferrers"]
-    else:
-        lines = [f"FAIL: block {k} {witness.describe()}" for k, witness in result.failures]
-    strict_ok = cobwebs.ferrers.strict_order_is_ferrers(cobwebs.digraph.transitive_closure(d).leq)
-    lines.append("OK: strict order matrix Ferrers" if strict_ok
-                 else "FAIL: strict order matrix not Ferrers")
-    return "".join(ln + "\n" for ln in lines), 0 if result.ok and strict_ok else 1
-
-
-def _cmd_check_dim2(args):
-    d = _resolve_digraph(args)
-    if cobwebs.cobweb.verify_dim2(d):
-        return "OK: realizer of two linear orders verified\n", 0
-    return "FAIL: linear-order intersection differs from the partial order\n", 1
 
 
 def _cmd_decompose(args):
@@ -231,7 +260,7 @@ def _cmd_decompose(args):
 def _cmd_fibtree(args):
     # the tree's level sizes are the Fibonacci numbers: check the cap first
     _sizes(FSequence.fibonacci(), args.levels)
-    return _DIGRAPH_WRITERS[args.format](cobwebs.cobweb.fibonacci_tree(args.levels)), 0
+    return _FROM_DIGRAPH["digraph", args.format](cobwebs.cobweb.fibonacci_tree(args.levels), args)
 
 
 # -- parser ------------------------------------------------------------------
@@ -254,27 +283,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("build", help="build a cobweb and emit digraph JSON")
     _add_source_flags(sub, with_from=False)
-    sub.set_defaults(handler=_cmd_digraph, format="json")
+    sub.set_defaults(handler=_cmd_answer, answer="digraph", format="json")
 
     sub = subs.add_parser("hasse", help="emit the Hasse adjacency matrix")
     _add_source_flags(sub)
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.set_defaults(handler=_cmd_digraph)
+    sub.set_defaults(handler=_cmd_answer, answer="digraph")
 
     sub = subs.add_parser("zeta", help="emit the zeta (incidence) matrix")
     _add_source_flags(sub)
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.set_defaults(handler=_cmd_zeta)
+    sub.set_defaults(handler=_cmd_answer, answer="zeta")
 
     sub = subs.add_parser("dot", help="emit a DOT drawing of the Hasse digraph")
     _add_source_flags(sub)
-    sub.set_defaults(handler=_cmd_digraph, format="dot")
+    sub.set_defaults(handler=_cmd_answer, answer="digraph", format="dot")
 
     sub = subs.add_parser("paths", help="count directed Hasse paths between two vertices")
     _add_source_flags(sub)
     sub.add_argument("--x", type=int, required=True, help="source vertex (1-based)")
     sub.add_argument("--y", type=int, required=True, help="target vertex (1-based)")
-    sub.set_defaults(handler=_cmd_paths)
+    sub.set_defaults(handler=_cmd_answer, answer="paths", format=None)
 
     sub = subs.add_parser("join", help="natural join of two relation JSON files")
     sub.add_argument("--left", required=True)
@@ -288,11 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("check-ferrers", help="blockwise and strict-order Ferrers checks")
     _add_source_flags(sub)
-    sub.set_defaults(handler=_cmd_check_ferrers)
+    sub.set_defaults(handler=_cmd_answer, answer="check-ferrers", format=None)
 
     sub = subs.add_parser("check-dim2", help="verify the two-linear-order realizer")
     _add_source_flags(sub)
-    sub.set_defaults(handler=_cmd_check_dim2)
+    sub.set_defaults(handler=_cmd_answer, answer="check-dim2", format=None)
 
     sub = subs.add_parser("decompose", help="project an n-ary relation JSON into a binary chain")
     sub.add_argument("--from", dest="from_path", metavar="PATH", required=True)

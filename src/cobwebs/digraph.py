@@ -41,7 +41,7 @@ from .boolmat import (
     closure_series,
     identity,
 )
-from .fseq import as_ints, locate
+from .fseq import as_ints, dot_text, locate
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -240,18 +240,8 @@ def is_transitive_irreducible(a: BoolMatrix) -> bool:
 
 
 def to_dot(d: GradedDigraph) -> str:
-    """Render as a DOT digraph, one rank per level."""
-    lines = ["digraph {", "  rankdir=BT;"]
-    for v in range(1, d.n_vertices + 1):
-        lines.append(f"  {v};")
-    offsets = d.level_offsets
-    for k, size in enumerate(d.levels):
-        members = " ".join(f"{offsets[k] + i + 1};" for i in range(size))
-        lines.append(f"  {{ rank=same; {members} }}")
-    for u, v in d.arcs():
-        lines.append(f"  {u} -> {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """Render as a DOT digraph, one rank per level (``fseq.dot_text``)."""
+    return dot_text(d.levels, d.arcs())
 
 
 def digraph_to_json(d: GradedDigraph) -> dict:

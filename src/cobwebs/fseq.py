@@ -17,13 +17,28 @@ Explicit sizes are checked however the sequence is built, through
 
 Values beyond the signed 64-bit range are reported as overflow rather
 than produced.
+
+The module also writes what the CLI answers about a complete cobweb from
+its level sizes alone, without numpy, without a matrix and without a
+closure.  The cobweb is the natural join of complete di-bicliques, so
+its Hasse grid has one repeated row per level, its zeta grid is the
+staircase (zeros within a vertex's own level, ones on every later level)
+plus the diagonal, its arcs are all pairs of consecutive levels, and a
+vertex of level i reaches one of level j > i by prod F_t Hasse paths
+over the levels strictly between.  ``cobweb_grid``, ``cobweb_json``,
+``cobweb_arcs`` and ``cobweb_path_count`` write those answers byte for
+byte as the matrix path does (``boolmat.to_text``, ``json.dumps`` with
+``indent=2``, ``digraph.digraph_to_json``, ``cobweb.count_paths``), and
+``dot_text`` is the one DOT writer for every graded digraph.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import product
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 MAX_LEVEL_SIZE = 2**63 - 1
 
@@ -190,3 +205,127 @@ def locate(levels: Sequence[int], v: int) -> tuple[int, int]:
             return k, rest
         rest -= size
     raise ValueError(f"vertex {v} out of range 1..{sum(levels)}")
+
+
+# -- a complete cobweb, answered from its level sizes ------------------------
+
+PIECE_BYTES = 1 << 20  # a grid is written in pieces of about this size, at least one row
+
+
+class _ListForm(NamedTuple):
+    """How a list of 0/1 rows is written: the bytes around rows and entries."""
+
+    start: bytes  # before the first row
+    head: bytes  # before each row's first entry
+    entry: bytes  # one entry, its digit at ``at``; the bytes after the digit separate entries
+    at: int
+    tail: bytes  # after each row's last entry
+    sep: bytes  # between two rows
+    end: bytes  # after the last row
+
+
+_TEXT_FORM = _ListForm(b"", b"", b"0 ", 0, b"\n", b"", b"")  # ``boolmat.to_text``
+
+
+def _json_form(depth: int, end: bytes = b"") -> _ListForm:
+    """A list of rows nested ``depth`` lists deep in ``json.dumps(..., indent=2)``."""
+    pad = b" " * (2 * depth)
+    return _ListForm(b"[\n", pad + b"  [\n", pad + b"    0,\n", len(pad) + 4,
+                     b"\n" + pad + b"  ]", b",\n", b"\n" + pad + b"]" + end)
+
+
+def _rows(form: _ListForm, runs: Sequence[tuple[bytes, int]], count: int) -> bytes:
+    """``count`` copies of one row, joined by ``form.sep``.
+
+    The row's entries are ``runs``: (digit, how many) pairs in column order.
+    The copies are made as bytes: a ``bytearray`` too large for memory can
+    fail with a stray SystemError on CPython 3.11.
+    """
+    entry, at = form.entry, form.at
+    cells = b"".join((entry[:at] + digit + entry[at + 1 :]) * width for digit, width in runs)
+    row = form.head + cells[: len(cells) - (len(entry) - at - 1)] + form.tail
+    return form.sep.join([row] * count)
+
+
+def cobweb_grid(sizes: Sequence[int], matrix: str, fmt: str) -> Iterator[str]:
+    """The Hasse (``matrix="hasse"``) or zeta grid of the complete cobweb, in pieces.
+
+    ``fmt="text"`` writes ``boolmat.to_text`` of the grid and ``"json"``
+    writes ``json.dumps(rows, indent=2) + "\\n"``.  Every row of a level
+    reads the same: the Hasse row has ones on the next level only, the
+    zeta row ones on every later level, plus its own diagonal one.  Each
+    level band is one row repeated, in pieces of about ``PIECE_BYTES``.
+    """
+    form = _TEXT_FORM if fmt == "text" else _json_form(0, b"\n")
+    n, first = sum(sizes), 0
+    for k, size in enumerate(sizes):
+        last = first + size
+        if matrix == "zeta":
+            runs = [(b"0", last), (b"1", n - last)]
+        else:
+            onto = sizes[k + 1] if k + 1 < len(sizes) else 0
+            runs = [(b"0", last), (b"1", onto), (b"0", n - last - onto)]
+        stride = len(_rows(form, runs, 1)) + len(form.sep)
+        step = max(1, PIECE_BYTES // stride)
+        for row in range(first, last, step):
+            count = min(step, last - row)
+            band = bytearray(_rows(form, runs, count))
+            if matrix == "zeta":  # row r's diagonal is column r: one entry further per row
+                at = len(form.head) + len(form.entry) * row + form.at
+                band[at :: stride + len(form.entry)] = b"1" * count
+            band[:0] = form.sep if row else form.start
+            if row + count == n:
+                band += form.end
+            yield band.decode("ascii")
+        first = last
+
+
+def cobweb_json(sizes: Sequence[int]) -> str:
+    """``digraph_to_json`` of the complete cobweb as ``json.dumps(indent=2, sort_keys=True)``.
+
+    Each arc block is all ones: one row repeated.  The text is returned
+    whole, so a block too large for memory fails before any of it is written.
+    """
+    form = _json_form(2)
+    parts = [b'{\n  "arcs": [']
+    for k, (rows, cols) in enumerate(zip(sizes, sizes[1:])):
+        lead = b",\n    " if k else b"\n    "
+        parts += [lead, form.start, _rows(form, [(b"1", cols)], rows), form.end]
+    parts.append(b"\n  ],\n" if len(sizes) > 1 else b"],\n")
+    parts.append(b'  "levels": [\n' + ",\n".join(f"    {s}" for s in sizes).encode())
+    parts.append(b"\n  ]\n}\n")
+    return b"".join(parts).decode("ascii")
+
+
+def cobweb_arcs(sizes: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """The arcs of the complete cobweb in ``GradedDigraph.arcs`` order: 1-based (u, v)."""
+    first = 1
+    for rows, cols in zip(sizes, sizes[1:]):
+        yield from product(range(first, first + rows), range(first + rows, first + rows + cols))
+        first += rows
+
+
+def cobweb_path_count(sizes: Sequence[int], x: int, y: int) -> int:
+    """``count_paths`` of the complete cobweb: prod F_t over the levels strictly between.
+
+    0 unless y's level is above x's (so also for x = y).
+    """
+    i, j = locate(sizes, x)[0], locate(sizes, y)[0]
+    return math.prod(sizes[i + 1 : j]) if j > i else 0
+
+
+def dot_text(levels: Sequence[int], arcs: Iterable[tuple[int, int]]) -> str:
+    """A DOT drawing of a graded digraph, one rank per level.
+
+    ``levels`` are the level sizes and ``arcs`` the 1-based (u, v) pairs.
+    """
+    lines = ["digraph {", "  rankdir=BT;"]
+    lines += [f"  {v};" for v in range(1, sum(levels) + 1)]
+    first = 1
+    for size in levels:
+        members = " ".join(f"{v};" for v in range(first, first + size))
+        lines.append(f"  {{ rank=same; {members} }}")
+        first += size
+    lines += [f"  {u} -> {v};" for u, v in arcs]
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -1,12 +1,16 @@
 import argparse
 import json
+import os
 import random
 import resource
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cobwebs import boolmat, cli, cobweb, digraph, fseq
 from cobwebs.cobweb import build_cobweb
@@ -296,6 +300,8 @@ GRID_SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (7, 7), (9, 4),
 def test_json_grid_pieces_match_json_dumps(seed):
     rng = np.random.default_rng(seed)
     for rows, cols in GRID_SHAPES:
+        if not rows or not cols:  # every zeta grid the CLI writes has a vertex
+            continue
         m = rng.random((rows, cols)) < 0.5
         expected = json.dumps(m.astype(int).tolist(), indent=2, sort_keys=True) + "\n"
         assert "".join(cli._json_grid_pieces(m)) == expected
@@ -466,13 +472,31 @@ def test_level_sizes_stop_once_the_cap_is_passed(capsys, monkeypatch):
         "seq-argument"])
 def test_early_exits_never_import_numpy(tmp_path, argv, env, status, message):
     argv = [str(tmp_path / "missing.json") if a == "MISSING" else a for a in argv]
+    proc, imports = run_importtime(argv, **env)
+    assert proc.returncode == status
+    assert message in (proc.stdout if status == 0 else proc.stderr)
+    assert imports and not [ln for ln in imports if "numpy" in ln]
+
+
+def run_importtime(argv, **env):
+    """``cobweb ARGV`` under ``-X importtime``: the process and its import lines."""
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "cobwebs.cli", *argv],
         env=cli_env(**env), capture_output=True, text=True,
     )
-    assert proc.returncode == status
-    assert message in (proc.stdout if status == 0 else proc.stderr)
-    imports = [ln for ln in proc.stderr.splitlines() if ln.startswith("import time:")]
+    return proc, [ln for ln in proc.stderr.splitlines() if ln.startswith("import time:")]
+
+
+# every --seq subcommand and format
+SEQ_ANSWERS = [["build"], ["hasse"], ["hasse", "--format", "json"], ["zeta"],
+               ["zeta", "--format", "json"], ["dot"], ["paths", "--x", "2", "--y", "6"],
+               ["check-ferrers"], ["check-dim2"]]
+
+
+@pytest.mark.parametrize("argv", SEQ_ANSWERS, ids=" ".join)
+def test_seq_answers_never_import_numpy(argv):
+    proc, imports = run_importtime([*argv, "--seq", "fibonacci", "--levels", "5"])
+    assert proc.returncode == 0 and proc.stdout
     assert imports and not [ln for ln in imports if "numpy" in ln]
 
 
@@ -488,6 +512,7 @@ print(status, *sorted(m for m in sys.modules if m.startswith("cobwebs.")))
 
 SEQ = ["--seq", "naturals", "--levels", "3"]
 CORE = ["cobwebs.boolmat", "cobwebs.cli", "cobwebs.digraph", "cobwebs.fseq"]
+SEQ_ONLY = ["cobwebs.cli", "cobwebs.fseq"]  # a --seq answer is a closed form of the level sizes
 
 
 def loaded_by(tmp_path, argv):
@@ -508,9 +533,9 @@ def loaded_by(tmp_path, argv):
 
 
 @pytest.mark.parametrize("argv, modules", [
-    *[pytest.param([c, *SEQ], [*CORE, "cobwebs.cobweb"], id=c)
+    *[pytest.param([c, *SEQ], SEQ_ONLY, id=c)
       for c in ("zeta", "hasse", "dot", "build", "check-dim2")],
-    pytest.param(["paths", *SEQ, "--x", "1", "--y", "4"], [*CORE, "cobwebs.cobweb"], id="paths"),
+    pytest.param(["paths", *SEQ, "--x", "1", "--y", "4"], SEQ_ONLY, id="paths"),
     pytest.param(["fibtree", "--levels", "3"], [*CORE, "cobwebs.cobweb"], id="fibtree"),
     pytest.param(["zeta", "--from", "DIGRAPH"], CORE, id="zeta-from"),
     pytest.param(["hasse", "--from", "DIGRAPH"], CORE, id="hasse-from"),
@@ -522,21 +547,22 @@ def test_cobweb_subcommands_load_neither_njoin_nor_ferrers(tmp_path, argv, modul
 
 
 @pytest.mark.parametrize("argv, modules", [
-    (["check-ferrers", *SEQ], [*CORE, "cobwebs.cobweb", "cobwebs.ferrers"]),
+    (["check-ferrers", *SEQ], SEQ_ONLY),
+    (["check-ferrers", "--from", "DIGRAPH"], [*CORE, "cobwebs.ferrers"]),
     (["join", "--left", "LEFT", "--right", "RIGHT"], [*CORE, "cobwebs.njoin"]),
     (["compose", "--left", "LEFT", "--right", "RIGHT"], [*CORE, "cobwebs.njoin"]),
     (["decompose", "--from", "NARY"], [*CORE, "cobwebs.njoin"]),
-], ids=["check-ferrers", "join", "compose", "decompose"])
+], ids=["check-ferrers", "check-ferrers-from", "join", "compose", "decompose"])
 def test_ferrers_and_relation_subcommands_load_only_their_module(tmp_path, argv, modules):
     assert loaded_by(tmp_path, argv) == ["0", *sorted(modules)]
 
 
 # bench/spans.py traces the CLI by wrapping these functions on the digraph module
-@pytest.mark.parametrize("command, name", [
-    ("hasse", "global_adjacency"), ("dot", "to_dot"), ("build", "digraph_to_json"),
+@pytest.mark.parametrize("fmt, name", [
+    ("text", "global_adjacency"), ("dot", "to_dot"), ("json", "digraph_to_json"),
 ])
 def test_digraph_writers_call_the_digraph_module_as_it_is_at_call_time(
-        capsys, monkeypatch, command, name):
+        capsys, monkeypatch, fmt, name):
     calls = []
     original = getattr(digraph, name)
 
@@ -545,8 +571,8 @@ def test_digraph_writers_call_the_digraph_module_as_it_is_at_call_time(
         return original(d)
 
     monkeypatch.setattr(digraph, name, traced)
-    status, out, _ = run(capsys, command, *SEQ)
-    assert status == 0 and out and calls == [(1, 2, 3)]
+    status, out, _ = run(capsys, "fibtree", "--levels", "3", "--format", fmt)
+    assert status == 0 and out and calls == [(1, 1, 2)]
 
 
 @pytest.mark.parametrize("payload", [
@@ -676,3 +702,50 @@ def test_non_utf8_file_is_named(capsys, tmp_path, argv):
     status, out, err = run(capsys, *(a.format(path) for a in argv))
     assert status == 1 and out == ""
     assert err.startswith(f"error: cannot read {path}: ")
+
+
+def joined(output) -> str:
+    return output if isinstance(output, str) else "".join(output)
+
+
+def answers_agree(sizes, x, y) -> None:
+    """Every --seq answer equals the matrix path's answer on the built cobweb."""
+    d = build_cobweb(sizes)
+    args = argparse.Namespace(x=x, y=y)
+    assert set(cli._FROM_SIZES) == set(cli._FROM_DIGRAPH)
+    for key, closed_form in cli._FROM_SIZES.items():
+        text, status = closed_form(sizes, args)
+        oracle_text, oracle_status = cli._FROM_DIGRAPH[key](d, args)
+        assert (joined(text), status) == (joined(oracle_text), oracle_status), key
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=8), st.data())
+def test_closed_forms_match_the_matrix_path(sizes, data):
+    n = sum(sizes)
+    x, y = data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
+    for pair in ((x, y), (y, x), (x, x)):  # y below x and x = y as well
+        answers_agree(sizes, *pair)
+
+
+@pytest.mark.parametrize("piece_bytes", [1, 40])
+def test_grid_pieces_split_level_bands_without_changing_bytes(monkeypatch, piece_bytes):
+    monkeypatch.setattr(fseq, "PIECE_BYTES", piece_bytes)  # under one row: a row per piece
+    assert len(list(fseq.cobweb_grid([6, 1, 6], "zeta", "json"))) == 13
+    for sizes in ([1], [3], [1, 2, 3, 4, 5, 1], [6, 1, 6], [2, 5, 5, 2]):
+        answers_agree(sizes, 1, sum(sizes))
+
+
+@pytest.mark.parametrize("argv", [["zeta"], ["zeta", "--format", "json"], ["hasse"]],
+                         ids=" ".join)
+def test_cap_grids_hold_far_less_than_n_squared_bytes(argv):
+    n = 9870  # vertices of --seq naturals --levels 140
+    tracemalloc.start()
+    try:
+        status = cli.main([*argv, "--seq", "naturals", "--levels", "140", "--out", os.devnull])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    # a few pieces of about fseq.PIECE_BYTES (1 MiB) at a time, not the 97 MB grid
+    assert peak < n * n // 12
