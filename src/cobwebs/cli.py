@@ -21,14 +21,16 @@ Each process runs one subcommand, so the command loads only what that
 subcommand runs, and only once its input has been read and checked.  The
 top level imports argparse, json, ``fseq`` and the ``cobwebs`` package,
 which loads no submodule by itself; every other call into the library is
-written ``cobwebs.<module>.<name>``, and the package imports that module,
-and so numpy, on first use.  Those calls come after the checks, so
-``--help``, usage errors, every --seq answer, the vertex cap and an
-unreadable file never import numpy, and no cobweb subcommand loads
-``njoin``, nor ``ferrers`` unless it checks a --from digraph.  Python
-looks a callee up before it evaluates the arguments, so input is read and
-checked in a statement of its own, not inside the call that hands it to
-the library.
+written ``cobwebs.<module>.<name>``, and the package imports that module
+on first use.  ``join``, ``compose`` and ``decompose`` load only
+``njoin``, whose relations are label dicts and Python ints, so they
+never import numpy; the matrix modules do.  Their calls come after the
+checks, so ``--help``, usage errors, every --seq answer, the vertex cap
+and an unreadable file never import numpy, and no cobweb subcommand
+loads ``njoin``, nor ``ferrers`` unless it checks a --from digraph.
+Python looks a callee up before it evaluates the arguments, so input
+for a matrix module is read and checked in a statement of its own, not
+inside the call that hands it to the library.
 
 The environment variable COBWEB_MAX_VERTICES (a positive integer, default
 10000) caps the size of any constructed digraph.  For --seq and
@@ -122,10 +124,16 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, object]:
 
 
 def _load_relations(args: argparse.Namespace) -> list[cobwebs.njoin.BinaryRelation]:
-    """The --left and --right relations, read and checked in that order."""
+    """The --left and --right relations, read and checked in that order.
+
+    Each file's JSON is dropped once its relation is built, before the
+    next is read; join and compose pass the list straight on, so the
+    relations are freed before the output is written.
+    """
     left = _load_json(args.left)
-    return [cobwebs.njoin.relation_from_json(left),
-            cobwebs.njoin.relation_from_json(_load_json(args.right))]
+    left = cobwebs.njoin.relation_from_json(left)
+    right = _load_json(args.right)
+    return [left, cobwebs.njoin.relation_from_json(right)]
 
 
 def _emit(text: str | Iterable[str], out: Optional[str]) -> None:
@@ -236,13 +244,12 @@ def _cmd_answer(args):
 
 
 def _cmd_join(args):
-    relations = _load_relations(args)
-    return _json_text(cobwebs.njoin.nary_to_json(cobwebs.njoin.njoin_relations(relations))), 0
+    joined = cobwebs.njoin.njoin_relations(_load_relations(args))
+    return _json_text(cobwebs.njoin.nary_to_json(joined)), 0
 
 
 def _cmd_compose(args):
-    relations = _load_relations(args)
-    composed = cobwebs.njoin.compose_relations(*relations)
+    composed = cobwebs.njoin.compose_relations(*_load_relations(args))
     return _json_text(cobwebs.njoin.relation_to_json(composed)), 0
 
 

@@ -240,8 +240,8 @@ def is_transitive_irreducible(a: BoolMatrix) -> bool:
 
 
 def to_dot(d: GradedDigraph) -> str:
-    """Render as a DOT digraph, one rank per level (``fseq.dot_text``)."""
-    return dot_text(d.levels, d.arcs())
+    """Render as a DOT digraph, one rank per level (``fseq.dot_text``, joined)."""
+    return "".join(dot_text(d.levels, d.arcs()))
 
 
 def digraph_to_json(d: GradedDigraph) -> dict:

@@ -29,7 +29,8 @@ over the levels strictly between.  ``cobweb_grid``, ``cobweb_json``,
 ``cobweb_arcs`` and ``cobweb_path_count`` write those answers byte for
 byte as the matrix path does (``boolmat.to_text``, ``json.dumps`` with
 ``indent=2``, ``digraph.digraph_to_json``, ``cobweb.count_paths``), and
-``dot_text`` is the one DOT writer for every graded digraph.
+``dot_text`` is the one DOT writer for every graded digraph.  Grids and
+drawings come in pieces of about ``PIECE_BYTES``, never as one string.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 MAX_LEVEL_SIZE = 2**63 - 1
@@ -209,7 +210,7 @@ def locate(levels: Sequence[int], v: int) -> tuple[int, int]:
 
 # -- a complete cobweb, answered from its level sizes ------------------------
 
-PIECE_BYTES = 1 << 20  # a grid is written in pieces of about this size, at least one row
+PIECE_BYTES = 1 << 20  # grids and drawings are written in pieces of about this size
 
 
 class _ListForm(NamedTuple):
@@ -314,18 +315,33 @@ def cobweb_path_count(sizes: Sequence[int], x: int, y: int) -> int:
     return math.prod(sizes[i + 1 : j]) if j > i else 0
 
 
-def dot_text(levels: Sequence[int], arcs: Iterable[tuple[int, int]]) -> str:
-    """A DOT drawing of a graded digraph, one rank per level.
+def dot_text(levels: Sequence[int], arcs: Iterable[tuple[int, int]]) -> Iterator[str]:
+    """A DOT drawing of a graded digraph, one rank per level, in pieces.
 
     ``levels`` are the level sizes and ``arcs`` the 1-based (u, v) pairs.
+    Whole lines are joined into pieces of about ``PIECE_BYTES``, so the
+    drawing is never held as one string.
     """
-    lines = ["digraph {", "  rankdir=BT;"]
-    lines += [f"  {v};" for v in range(1, sum(levels) + 1)]
+    lines = _dot_lines(levels, arcs)
+    piece: list[str] = []
+    size = 0
+    while batch := "".join(islice(lines, 4096)):  # joined in C, not line by line
+        piece.append(batch)
+        size += len(batch)
+        if size >= PIECE_BYTES:
+            yield "".join(piece)
+            piece, size = [], 0
+    yield "".join(piece)
+
+
+def _dot_lines(levels: Sequence[int], arcs: Iterable[tuple[int, int]]) -> Iterator[str]:
+    """The lines of ``dot_text``, each newline-terminated."""
+    yield "digraph {\n  rankdir=BT;\n"
+    yield from (f"  {v};\n" for v in range(1, sum(levels) + 1))
     first = 1
     for size in levels:
         members = " ".join(f"{v};" for v in range(first, first + size))
-        lines.append(f"  {{ rank=same; {members} }}")
+        yield f"  {{ rank=same; {members} }}\n"
         first += size
-    lines += [f"  {u} -> {v};" for u, v in arcs]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    yield from (f"  {u} -> {v};\n" for u, v in arcs)
+    yield "}\n"

@@ -19,12 +19,19 @@ shifted right by the size of the first set, for one block, two or a chain.
 Chains of binary relations joined this way encode n-ary relations: the
 tuples of the join are the maximal paths through the chain's biadjacency
 blocks, and relation composition is their Boolean product.  Relations are
-worked on as integer index pairs, with labels looked up only on the way
-in and out, so no |dom| x |ran| block is built for them.  The reverse
-direction projects an n-ary relation onto its adjacent-column pairs, and
-a relation is faithfully encoded by that chain exactly when re-joining
-the projections reproduces it; since that join always contains the
-relation, it is counted as a path count, not built.
+worked on as label dicts and exact Python ints, with no numpy and no
+|dom| x |ran| block: the join extends label tuples along each link's
+successor lists, composition ORs Python-int bitset rows, and the join's
+size is a path count pushed over the pairs.  The reverse direction
+projects an n-ary relation onto its adjacent-column pairs, and a relation
+is faithfully encoded by that chain exactly when re-joining the
+projections reproduces it; since that join always contains the relation,
+it is counted, not built.
+
+The matrix half (adjacency matrices, biadjacency blocks, graded digraphs)
+calls ``cobwebs.boolmat`` and ``cobwebs.digraph`` at call time, so
+importing this module loads neither of them, nor numpy, and wrappers
+installed on them (tracing, test doubles) apply.
 """
 
 from __future__ import annotations
@@ -33,11 +40,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .boolmat import (BoolMatrix, as_bool_matrix, bool_product, chain_adjacency,
-                      check_join_condition)
-from .digraph import GradedDigraph, push_path_counts
+import cobwebs
 
 
 @dataclass(frozen=True)
@@ -61,15 +64,6 @@ class FiniteSet:
     def __contains__(self, label: str) -> bool:
         return label in self._position
 
-    def positions(self, labels: Sequence[str]) -> np.ndarray:
-        """The positions of member labels, as an index array."""
-        lookup = map(self._position.__getitem__, labels)
-        return np.fromiter(lookup, dtype=np.intp, count=len(labels))
-
-    def at(self, positions: np.ndarray) -> list[str]:
-        """The labels at an index array of positions."""
-        return np.array(self.labels, dtype=object)[positions].tolist()
-
 
 @dataclass(frozen=True)
 class BinaryRelation:
@@ -81,7 +75,8 @@ class BinaryRelation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pairs", frozenset(map(tuple, self.pairs)))
-        bad = [(a, b) for a, b in self.pairs if a not in self.dom or b not in self.ran]
+        dom, ran = self.dom._position, self.ran._position
+        bad = [(a, b) for a, b in self.pairs if a not in dom or b not in ran]
         if bad:
             a, b = min(bad, key=_label_key)
             if a not in self.dom:
@@ -93,17 +88,13 @@ class BinaryRelation:
         """The di-biclique: every domain label related to every range label."""
         return cls(dom, ran, frozenset(itertools.product(dom.labels, ran.labels)))
 
-    def index_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pairs as head and tail position arrays, grouped by head."""
-        heads, tails = zip(*self.pairs) if self.pairs else ((), ())
-        heads, tails = self.dom.positions(heads), self.ran.positions(tails)
-        order = np.argsort(heads, kind="stable")
-        return heads[order], tails[order]
-
-    def biadjacency(self) -> BoolMatrix:
+    def biadjacency(self) -> cobwebs.boolmat.BoolMatrix:
         """|dom| x |ran| Boolean matrix in label order."""
+        import numpy as np
+
         b = np.zeros((len(self.dom), len(self.ran)), dtype=bool)
-        b[self.index_pairs()] = True
+        b[[self.dom._position[a] for a, _ in self.pairs],
+          [self.ran._position[c] for _, c in self.pairs]] = True
         return b
 
 
@@ -172,17 +163,17 @@ class AdjacencyMatrix:
     from the block on request (``mat``); the block's shape fixes (k, m).
     """
 
-    block: np.ndarray
+    block: cobwebs.boolmat.BoolMatrix
 
     def __post_init__(self) -> None:
-        block = as_bool_matrix(self.block).copy()
+        block = cobwebs.boolmat.as_bool_matrix(self.block).copy()
         block.flags.writeable = False
         object.__setattr__(self, "block", block)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AdjacencyMatrix):
             return NotImplemented
-        return np.array_equal(self.block, other.block)
+        return self.shape == other.shape and bool((self.block == other.block).all())
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -193,16 +184,16 @@ class AdjacencyMatrix:
         return self.block.shape[0]
 
     @property
-    def mat(self) -> BoolMatrix:
-        return chain_adjacency([self.block], self.k)
+    def mat(self) -> cobwebs.boolmat.BoolMatrix:
+        return cobwebs.boolmat.chain_adjacency([self.block], self.k)
 
 
-def embed_biadjacency(b: BoolMatrix) -> AdjacencyMatrix:
+def embed_biadjacency(b: cobwebs.boolmat.BoolMatrix) -> AdjacencyMatrix:
     """The adjacency matrix of a k x m biadjacency block."""
     return AdjacencyMatrix(b)
 
 
-def njoin_adjacency(a1: AdjacencyMatrix, a2: AdjacencyMatrix) -> BoolMatrix:
+def njoin_adjacency(a1: AdjacencyMatrix, a2: AdjacencyMatrix) -> cobwebs.boolmat.BoolMatrix:
     """Natural join of two adjacency matrices sharing their middle set.
 
     The (k+m+s)-square result keeps one copy of the middle index block.
@@ -210,74 +201,75 @@ def njoin_adjacency(a1: AdjacencyMatrix, a2: AdjacencyMatrix) -> BoolMatrix:
     return njoin_fold((a1, a2))
 
 
-def njoin_fold(mats: Sequence[AdjacencyMatrix]) -> BoolMatrix:
+def njoin_fold(mats: Sequence[AdjacencyMatrix]) -> cobwebs.boolmat.BoolMatrix:
     """Left fold of the natural join over a chain of adjacency matrices."""
     if not mats:
         raise ValueError("cannot fold an empty chain")
-    check_join_condition([a.shape for a in mats])
-    return chain_adjacency([a.block for a in mats], mats[0].k)
+    cobwebs.boolmat.check_join_condition([a.shape for a in mats])
+    return cobwebs.boolmat.chain_adjacency([a.block for a in mats], mats[0].k)
 
 
 def reduced_composition(a1: AdjacencyMatrix, a2: AdjacencyMatrix) -> AdjacencyMatrix:
     """Compose along the middle set: biadjacency blocks Boolean-multiply."""
-    check_join_condition([a1.shape, a2.shape])
-    return AdjacencyMatrix(bool_product(a1.block, a2.block))
+    cobwebs.boolmat.check_join_condition([a1.shape, a2.shape])
+    return AdjacencyMatrix(cobwebs.boolmat.bool_product(a1.block, a2.block))
 
 
-def njoin_digraphs(g1: BinaryRelation, g2: BinaryRelation) -> GradedDigraph:
+def njoin_digraphs(g1: BinaryRelation, g2: BinaryRelation) -> cobwebs.digraph.GradedDigraph:
     """Natural join of two bipartite digraphs into a three-level digraph.
 
     The middle sets must agree by labels and order (matrix columns are
     label-ordered).  The operation is ordered: g1 feeds g2.
     """
     RelationChain((g1, g2))  # checks the middle set
-    return GradedDigraph(
+    return cobwebs.digraph.GradedDigraph(
         (len(g1.dom), len(g1.ran), len(g2.ran)),
         (g1.biadjacency(), g2.biadjacency()),
     )
 
 
-def njoin_graded(d1: GradedDigraph, d2: GradedDigraph) -> GradedDigraph:
+def njoin_graded(d1: cobwebs.digraph.GradedDigraph,
+                 d2: cobwebs.digraph.GradedDigraph) -> cobwebs.digraph.GradedDigraph:
     """Natural join of two graded digraphs along the shared boundary level."""
     if d1.levels[-1] != d2.levels[0]:
         raise ValueError(
             f"boundary levels differ: {d1.levels[-1]} vs {d2.levels[0]}"
         )
-    return GradedDigraph(d1.levels + d2.levels[1:], d1.blocks + d2.blocks)
+    return cobwebs.digraph.GradedDigraph(d1.levels + d2.levels[1:], d1.blocks + d2.blocks)
 
 
-def _index_paths(links: Sequence[BinaryRelation]) -> list[np.ndarray]:
-    """The maximal paths through a chain, one position array per column.
+def __getattr__(name: str):
+    """``njoin.bool_product`` is ``boolmat.bool_product`` as bound when it is read (PEP 562).
 
-    Paths start as the first link's index pairs and are extended one link
-    at a time along that link's successor lists, so the cost follows the
-    number of paths and no |dom| x |ran| block is built.
+    So a wrapper installed on ``boolmat`` (tracing, test doubles) shows
+    here too, and is gone here once it is undone there.
     """
-    paths = list(links[0].index_pairs())
-    for link in links[1:]:
-        # successor lists in CSR form: row v's successors are tails[starts[v]:][:fanout[v]]
-        heads, tails = link.index_pairs()
-        fanout = np.bincount(heads, minlength=len(link.dom))
-        starts = np.cumsum(fanout) - fanout
-        reps = fanout[paths[-1]]
-        parent = np.repeat(np.arange(len(reps)), reps)
-        offset = np.arange(len(parent)) - np.repeat(np.cumsum(reps) - reps, reps)
-        paths = [col[parent] for col in paths]
-        paths.append(tails[starts[paths[-1]] + offset])
-    return paths
+    if name == "bool_product":
+        return cobwebs.boolmat.bool_product
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def compose_relations(r: BinaryRelation, s: BinaryRelation) -> BinaryRelation:
     """Relation composition: the Boolean product of the biadjacency blocks.
 
-    Its pairs are the distinct (first, last) ends of the two-link join's
-    index paths, so the cost follows the number of those paths, not the
-    sizes of the label sets.
+    The product is formed row by row on Python-int bitsets over the
+    positions of ``s.ran``: a middle label's row has one bit per successor,
+    and a domain label's row is the OR of its successors' rows.  That is
+    O((|r| + |s|) * |s.ran| / 64 + |result|) word operations, however
+    many two-link paths there are.
     """
     RelationChain((r, s))  # checks the middle set
-    first, _, last = _index_paths((r, s))
-    heads, tails = np.divmod(np.unique(first * len(s.ran) + last), len(s.ran))
-    return BinaryRelation(r.dom, s.ran, frozenset(zip(r.dom.at(heads), s.ran.at(tails))))
+    position = s.ran._position
+    middle: dict[str, int] = {}
+    for b, c in s.pairs:
+        middle[b] = middle.get(b, 0) | 1 << position[c]
+    rows: dict[str, int] = {}
+    for a, b in r.pairs:
+        rows[a] = rows.get(a, 0) | middle.get(b, 0)
+    # bin(row)[:1:-1] lists the bits from position 0 up, as "0" and "1"
+    pairs = [(a, c) for a, row in rows.items()
+             for c in itertools.compress(s.ran.labels, map("1".__eq__, bin(row)[:1:-1]))]
+    return BinaryRelation(r.dom, s.ran, frozenset(pairs))
 
 
 def _chain(chain: RelationChain | Iterable[BinaryRelation]) -> RelationChain:
@@ -289,14 +281,18 @@ def njoin_relations(chain: RelationChain | Iterable[BinaryRelation]) -> NaryRela
 
     Columns are the chained sets and every tuple threads one pair of each
     link; a single link yields its relation as a 2-ary relation.  The
-    tuples are the maximal paths through the chain's biadjacency blocks,
-    found on index pairs and turned into labels once, at the end, so the
-    cost follows the number of tuples.
+    tuples are the maximal paths through the chain's biadjacency blocks:
+    the first link's pairs, extended one link at a time along that link's
+    successor lists, so the cost follows the number of tuples.
     """
     links = _chain(chain).links
     columns = (links[0].dom,) + tuple(link.ran for link in links)
-    paths = _index_paths(links)
-    tuples = zip(*(col.at(path) for col, path in zip(columns, paths)))
+    tuples = list(links[0].pairs)
+    for link in links[1:]:
+        successors: dict[str, list[str]] = {}
+        for a, b in link.pairs:
+            successors.setdefault(a, []).append(b)
+        tuples = [t + (c,) for t in tuples for c in successors.get(t[-1], ())]
     return NaryRelation(columns, tuples)
 
 
@@ -304,13 +300,17 @@ def join_size(chain: RelationChain | Iterable[BinaryRelation]) -> int:
     """Number of tuples in the natural join of a chain, counted, not built.
 
     The tuples are the paths through the biadjacency blocks, so their
-    number is 1^T B_0 ... B_{k-1} 1: a row of ones pushed along each
-    link's index pairs by ``push_path_counts`` (no block is built).
+    number is 1^T B_0 ... B_{k-1} 1: a count of one per first-column label,
+    pushed along each link's pairs as exact Python ints (no block is built).
     """
     links = _chain(chain).links
-    arcs = ((*link.index_pairs(), len(link.ran)) for link in links)
-    row = np.ones(len(links[0].dom), dtype=object)
-    return int(push_path_counts(row, arcs).sum())
+    counts = dict.fromkeys(links[0].dom.labels, 1)
+    for link in links:
+        pushed, counts = counts, {}
+        for a, b in link.pairs:
+            if a in pushed:
+                counts[b] = counts.get(b, 0) + pushed[a]
+    return sum(counts.values())
 
 
 def project_chain(t: NaryRelation) -> RelationChain:
@@ -364,8 +364,11 @@ def relation_from_json(data: dict) -> BinaryRelation:
     try:
         dom = FiniteSet(_json_labels(data["dom"]))
         ran = FiniteSet(_json_labels(data["ran"]))
+        # the pairs hold the sets' own label strings, so the file's copies can be freed
+        same = {x: x for x in (*dom.labels, *ran.labels)}
         pairs = frozenset(
-            (a, b) for a, b in map(_json_labels, _json_list(data["pairs"]))
+            (same.get(a, a), same.get(b, b))
+            for a, b in map(_json_labels, _json_list(data["pairs"]))
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad relation JSON: {exc}") from None

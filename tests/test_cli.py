@@ -500,6 +500,19 @@ def test_seq_answers_never_import_numpy(argv):
     assert imports and not [ln for ln in imports if "numpy" in ln]
 
 
+# the relation subcommands; LEFT, RIGHT and NARY stand for input files
+RELATION_COMMANDS = [["join", "--left", "LEFT", "--right", "RIGHT"],
+                     ["compose", "--left", "LEFT", "--right", "RIGHT"],
+                     ["decompose", "--from", "NARY"]]
+
+
+@pytest.mark.parametrize("argv", RELATION_COMMANDS, ids=lambda argv: argv[0])
+def test_relation_commands_never_import_numpy(tmp_path, argv):
+    proc, imports = run_importtime(input_files(tmp_path, argv))
+    assert proc.returncode == 0 and proc.stdout
+    assert imports and not [ln for ln in imports if "numpy" in ln]
+
+
 # the package modules one command leaves loaded
 LOADED_BY = """
 import contextlib, io, sys
@@ -515,18 +528,20 @@ CORE = ["cobwebs.boolmat", "cobwebs.cli", "cobwebs.digraph", "cobwebs.fseq"]
 SEQ_ONLY = ["cobwebs.cli", "cobwebs.fseq"]  # a --seq answer is a closed form of the level sizes
 
 
-def loaded_by(tmp_path, argv):
-    """The exit status and the modules of ``cobweb ARGV`` in a fresh interpreter.
-
-    The arguments DIGRAPH, LEFT, RIGHT and NARY stand for input files.
-    """
+def input_files(tmp_path, argv):
+    """ARGV with the arguments DIGRAPH, LEFT, RIGHT and NARY written as input files."""
     files = {
         "DIGRAPH": digraph.digraph_to_json(build_cobweb([1, 2, 3])),
         "LEFT": E1_JSON,
         "RIGHT": E2_JSON,
         "NARY": {"columns": [["x1", "x2"], ["z1"]], "tuples": [["x1", "z1"]]},
     }
-    argv = [write_json(tmp_path / f"{a}.json", files[a]) if a in files else a for a in argv]
+    return [write_json(tmp_path / f"{a}.json", files[a]) if a in files else a for a in argv]
+
+
+def loaded_by(tmp_path, argv):
+    """The exit status and the modules of ``cobweb ARGV`` in a fresh interpreter."""
+    argv = input_files(tmp_path, argv)
     proc = subprocess.run([sys.executable, "-c", LOADED_BY, *argv],
                           env=cli_env(), capture_output=True, text=True, check=True)
     return proc.stdout.split()
@@ -549,9 +564,7 @@ def test_cobweb_subcommands_load_neither_njoin_nor_ferrers(tmp_path, argv, modul
 @pytest.mark.parametrize("argv, modules", [
     (["check-ferrers", *SEQ], SEQ_ONLY),
     (["check-ferrers", "--from", "DIGRAPH"], [*CORE, "cobwebs.ferrers"]),
-    (["join", "--left", "LEFT", "--right", "RIGHT"], [*CORE, "cobwebs.njoin"]),
-    (["compose", "--left", "LEFT", "--right", "RIGHT"], [*CORE, "cobwebs.njoin"]),
-    (["decompose", "--from", "NARY"], [*CORE, "cobwebs.njoin"]),
+    *[(argv, [*SEQ_ONLY, "cobwebs.njoin"]) for argv in RELATION_COMMANDS],
 ], ids=["check-ferrers", "check-ferrers-from", "join", "compose", "decompose"])
 def test_ferrers_and_relation_subcommands_load_only_their_module(tmp_path, argv, modules):
     assert loaded_by(tmp_path, argv) == ["0", *sorted(modules)]
@@ -736,7 +749,7 @@ def test_grid_pieces_split_level_bands_without_changing_bytes(monkeypatch, piece
         answers_agree(sizes, 1, sum(sizes))
 
 
-@pytest.mark.parametrize("argv", [["zeta"], ["zeta", "--format", "json"], ["hasse"]],
+@pytest.mark.parametrize("argv", [["zeta"], ["zeta", "--format", "json"], ["hasse"], ["dot"]],
                          ids=" ".join)
 def test_cap_grids_hold_far_less_than_n_squared_bytes(argv):
     n = 9870  # vertices of --seq naturals --levels 140
@@ -747,5 +760,5 @@ def test_cap_grids_hold_far_less_than_n_squared_bytes(argv):
     finally:
         tracemalloc.stop()
     assert status == 0
-    # a few pieces of about fseq.PIECE_BYTES (1 MiB) at a time, not the 97 MB grid
+    # a few pieces of about fseq.PIECE_BYTES (1 MiB) at a time, not the whole grid or drawing
     assert peak < n * n // 12
