@@ -15,6 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .fseq import _GRID_FORMS, _ListForm, _rows
+
 BoolMatrix = np.ndarray
 ROW_BLOCK = 256  # rows per block where a whole n x n temporary is avoided
 
@@ -121,18 +123,17 @@ def chain_adjacency(blocks: Iterable[BoolMatrix], first: int) -> BoolMatrix:
     return out
 
 
-def to_text(m: BoolMatrix) -> str:
-    """Render a matrix as lines of space-separated 0/1 entries.
+def to_text(m: BoolMatrix, form: _ListForm = _GRID_FORMS["text"]) -> str:
+    """The rows of a matrix in ``form``, one of ``fseq``'s layouts, joined by ``form.sep``.
 
-    One row per line, single spaces, no trailing spaces, every line
-    newline-terminated.  The empty (0-row) matrix renders as the empty
-    string.
+    By default one line per row, single spaces, every line newline-terminated;
+    the empty (0-row) matrix is the empty string.  The caller writes
+    ``form.start`` and ``form.end``, so a grid can be rendered in row blocks.
     """
     m = as_bool_matrix(m)
-    rows, cols = m.shape
-    # one byte per character: each entry "0"/"1" is followed by " " or "\n"
-    buf = np.full((rows, max(2 * cols, 1)), ord(" "), dtype=np.uint8)
-    np.add(m, np.uint8(ord("0")), out=buf[:, 0 : 2 * cols : 2])
-    buf[:, -1] = ord("\n")
-    return buf.tobytes().decode("ascii")
-
+    # a row of "0"s, tiled, with each row's digits added on
+    row = np.frombuffer(_rows(form, [(b"0", m.shape[1])], 1) + form.sep, dtype=np.uint8)
+    buf = np.tile(row, (len(m), 1))
+    at, width = len(form.head) + form.at, len(form.entry)
+    buf[:, at : at + width * m.shape[1] : width] += m
+    return buf.tobytes()[: buf.size - len(form.sep)].decode("ascii")

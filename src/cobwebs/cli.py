@@ -15,7 +15,8 @@ level sizes of a complete cobweb, which ``_FROM_SIZES`` answers in
 closed form through ``fseq``, with no numpy, no matrix and no closure;
 --from (and ``fibtree``) gives a ``GradedDigraph``, which
 ``_FROM_DIGRAPH`` answers through its matrices.  Both write the same
-bytes for the same cobweb.
+bytes for the same cobweb, in ``fseq``'s grid layouts and piece size,
+which ``boolmat.to_text`` renders a matrix through.
 
 Each process runs one subcommand, so the command loads only what that
 subcommand runs, and only once its input has been read and checked.  The
@@ -112,6 +113,8 @@ def _load_json(path: str) -> dict:
 def _resolve(args: argparse.Namespace) -> tuple[dict, object]:
     """The answer table and its source: a graded digraph from --from, level sizes from --seq."""
     if getattr(args, "from_path", None):
+        if args.seq is not None or args.levels is not None:
+            raise ValueError("--seq and --levels cannot be used with --from")
         data = _load_json(args.from_path)
         _check_size(cobwebs.digraph.levels_from_json(data))  # before any arc is read
         return _FROM_DIGRAPH, cobwebs.digraph.digraph_from_json(data)
@@ -153,33 +156,16 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _text_grid_pieces(m: cobwebs.boolmat.BoolMatrix) -> Iterator[str]:
-    """``boolmat.to_text(m)`` in row blocks, so the grid is never one string."""
-    step = cobwebs.boolmat.ROW_BLOCK
+def _grid_pieces(m: cobwebs.boolmat.BoolMatrix, fmt: str) -> Iterator[str]:
+    """``m`` in ``fseq``'s ``fmt`` grid layout, as ``boolmat.to_text`` of row blocks, in pieces."""
+    form = cobwebs.fseq._GRID_FORMS[fmt]
+    step = cobwebs.fseq._rows_per_piece(form, m.shape[1])
+    yield form.start.decode("ascii")
     for start in range(0, len(m), step):
-        yield cobwebs.boolmat.to_text(m[start : start + step])
-
-
-def _json_grid_pieces(m: cobwebs.boolmat.BoolMatrix) -> Iterator[str]:
-    """``_json_text(m.astype(int).tolist())`` in row blocks, without Python ints.
-
-    With ``indent=2`` each entry of a row is a fixed-width line, "    d,"
-    then newline, the last one without its comma, so a block of rows is
-    one uint8 buffer with the digits written in.
-    """
-    import numpy as np
-
-    rows, cols = m.shape
-    step = cobwebs.boolmat.ROW_BLOCK
-    row = np.frombuffer((b"  [\n" + b"    0,\n" * cols)[:-2] + b"\n  ],\n", dtype=np.uint8)
-    yield "[\n"
-    for start in range(0, rows, step):
-        block = m[start : start + step]
-        buf = np.tile(row, (len(block), 1))
-        buf[:, 8 : 7 * cols + 8 : 7] += block
-        text = buf.tobytes().decode("ascii")
-        yield text[:-2] if start + step >= rows else text
-    yield "\n]\n"
+        if start:
+            yield form.sep.decode("ascii")
+        yield cobwebs.boolmat.to_text(m[start : start + step], form)
+    yield form.end.decode("ascii")
 
 
 def _ferrers_report(failures: Sequence, strict_ok: bool) -> tuple[str, int]:
@@ -210,12 +196,12 @@ def _check_ferrers(d: cobwebs.digraph.GradedDigraph) -> tuple[str, int]:
 _FROM_DIGRAPH = {
     ("digraph", "json"): lambda d, a: (_json_text(cobwebs.digraph.digraph_to_json(d)), 0),
     ("digraph", "text"): lambda d, a: (
-        _text_grid_pieces(cobwebs.digraph.global_adjacency(d)), 0),
+        _grid_pieces(cobwebs.digraph.global_adjacency(d), "text"), 0),
     ("digraph", "dot"): lambda d, a: (cobwebs.digraph.to_dot(d), 0),
     ("zeta", "text"): lambda d, a: (
-        _text_grid_pieces(cobwebs.digraph.transitive_closure(d).leq), 0),
+        _grid_pieces(cobwebs.digraph.transitive_closure(d).leq, "text"), 0),
     ("zeta", "json"): lambda d, a: (
-        _json_grid_pieces(cobwebs.digraph.transitive_closure(d).leq), 0),
+        _grid_pieces(cobwebs.digraph.transitive_closure(d).leq, "json"), 0),
     ("paths", None): lambda d, a: (f"{cobwebs.cobweb.count_paths(d, a.x, a.y)}\n", 0),
     ("check-ferrers", None): lambda d, a: _check_ferrers(d),
     ("check-dim2", None): lambda d, a: _dim2_report(cobwebs.cobweb.verify_dim2(d)),

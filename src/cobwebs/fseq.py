@@ -27,10 +27,11 @@ plus the diagonal, its arcs are all pairs of consecutive levels, and a
 vertex of level i reaches one of level j > i by prod F_t Hasse paths
 over the levels strictly between.  ``cobweb_grid``, ``cobweb_json``,
 ``cobweb_arcs`` and ``cobweb_path_count`` write those answers byte for
-byte as the matrix path does (``boolmat.to_text``, ``json.dumps`` with
-``indent=2``, ``digraph.digraph_to_json``, ``cobweb.count_paths``), and
-``dot_text`` is the one DOT writer for every graded digraph.  Grids and
-drawings come in pieces of about ``PIECE_BYTES``, never as one string.
+byte as the matrix path does, and ``dot_text`` is the one DOT writer for
+every graded digraph.  The text-grid, JSON-grid and complete-block JSON
+layouts are spelled only here (``_ListForm``): ``boolmat.to_text``
+renders any matrix through them.  Grids and drawings come in pieces of
+about ``PIECE_BYTES``, never as one string.
 """
 
 from __future__ import annotations
@@ -225,14 +226,22 @@ class _ListForm(NamedTuple):
     end: bytes  # after the last row
 
 
-_TEXT_FORM = _ListForm(b"", b"", b"0 ", 0, b"\n", b"", b"")  # ``boolmat.to_text``
-
-
 def _json_form(depth: int, end: bytes = b"") -> _ListForm:
     """A list of rows nested ``depth`` lists deep in ``json.dumps(..., indent=2)``."""
     pad = b" " * (2 * depth)
     return _ListForm(b"[\n", pad + b"  [\n", pad + b"    0,\n", len(pad) + 4,
                      b"\n" + pad + b"  ]", b",\n", b"\n" + pad + b"]" + end)
+
+
+# a whole grid by format: lines of 0/1 entries, or ``json.dumps(rows, indent=2) + "\n"``
+_GRID_FORMS = {"text": _ListForm(b"", b"", b"0 ", 0, b"\n", b"", b""),
+               "json": _json_form(0, b"\n")}
+
+
+def _rows_per_piece(form: _ListForm, cols: int) -> int:
+    """How many rows of ``cols`` entries make a piece of about ``PIECE_BYTES``; at least 1."""
+    stride = len(_rows(form, [(b"0", cols)], 1)) + len(form.sep)
+    return max(1, PIECE_BYTES // stride)
 
 
 def _rows(form: _ListForm, runs: Sequence[tuple[bytes, int]], count: int) -> bytes:
@@ -251,14 +260,15 @@ def _rows(form: _ListForm, runs: Sequence[tuple[bytes, int]], count: int) -> byt
 def cobweb_grid(sizes: Sequence[int], matrix: str, fmt: str) -> Iterator[str]:
     """The Hasse (``matrix="hasse"``) or zeta grid of the complete cobweb, in pieces.
 
-    ``fmt="text"`` writes ``boolmat.to_text`` of the grid and ``"json"``
-    writes ``json.dumps(rows, indent=2) + "\\n"``.  Every row of a level
+    ``fmt`` names the layout in ``_GRID_FORMS``.  Every row of a level
     reads the same: the Hasse row has ones on the next level only, the
     zeta row ones on every later level, plus its own diagonal one.  Each
     level band is one row repeated, in pieces of about ``PIECE_BYTES``.
     """
-    form = _TEXT_FORM if fmt == "text" else _json_form(0, b"\n")
+    form = _GRID_FORMS[fmt]
     n, first = sum(sizes), 0
+    step = _rows_per_piece(form, n)
+    stride = len(_rows(form, [(b"0", n)], 1)) + len(form.sep)
     for k, size in enumerate(sizes):
         last = first + size
         if matrix == "zeta":
@@ -266,8 +276,6 @@ def cobweb_grid(sizes: Sequence[int], matrix: str, fmt: str) -> Iterator[str]:
         else:
             onto = sizes[k + 1] if k + 1 < len(sizes) else 0
             runs = [(b"0", last), (b"1", onto), (b"0", n - last - onto)]
-        stride = len(_rows(form, runs, 1)) + len(form.sep)
-        step = max(1, PIECE_BYTES // stride)
         for row in range(first, last, step):
             count = min(step, last - row)
             band = bytearray(_rows(form, runs, count))

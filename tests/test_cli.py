@@ -290,29 +290,43 @@ def test_zeta_json_format(capsys):
     assert json.loads(out) == [[1, 1, 1], [0, 1, 0], [0, 0, 1]]
 
 
-# the empty shapes, small ones, and row counts on both sides of the row-block edges
+# the empty shapes, small ones, and row counts on both sides of a piece edge: a piece
+# of 100 bytes holds 16 text rows or 3 JSON rows of 3 entries
 GRID_SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (7, 7), (9, 4),
-               (boolmat.ROW_BLOCK - 1, 3), (boolmat.ROW_BLOCK, 4),
-               (boolmat.ROW_BLOCK + 1, 2), (2 * boolmat.ROW_BLOCK + 1, 1)]
+               (2, 3), (3, 3), (4, 3), (7, 3), (15, 3), (16, 3), (17, 3), (33, 3)]
+
+
+def grid_oracle(m, fmt):
+    """The grid written without the library: ``json.dumps``, or one joined line per row."""
+    if fmt == "json":
+        return json.dumps(m.astype(int).tolist(), indent=2, sort_keys=True) + "\n"
+    return "".join(" ".join("1" if x else "0" for x in row) + "\n" for row in m)
+
+
+def check_grid_pieces(monkeypatch, seed, fmt):
+    """``cli._grid_pieces`` writes the oracle's bytes for every shape and piece size."""
+    rng = np.random.default_rng(seed)
+    for piece_bytes in (1, 100, fseq.PIECE_BYTES):
+        monkeypatch.setattr(fseq, "PIECE_BYTES", piece_bytes)
+        for rows, cols in GRID_SHAPES:
+            if fmt == "json" and not (rows and cols):  # every grid the CLI writes has a vertex
+                continue
+            m = rng.random((rows, cols)) < 0.5
+            pieces = list(cli._grid_pieces(m, fmt))
+            assert "".join(pieces) == grid_oracle(m, fmt), (piece_bytes, rows, cols)
+            if piece_bytes == 1:  # start, each row, the separators between them, end
+                assert len(pieces) == max(2 * rows + 1, 2)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 256])
-def test_json_grid_pieces_match_json_dumps(seed):
-    rng = np.random.default_rng(seed)
-    for rows, cols in GRID_SHAPES:
-        if not rows or not cols:  # every zeta grid the CLI writes has a vertex
-            continue
-        m = rng.random((rows, cols)) < 0.5
-        expected = json.dumps(m.astype(int).tolist(), indent=2, sort_keys=True) + "\n"
-        assert "".join(cli._json_grid_pieces(m)) == expected
+def test_json_grid_pieces_match_json_dumps(monkeypatch, seed):
+    check_grid_pieces(monkeypatch, seed, "json")
 
 
 @pytest.mark.parametrize("seed", [1, 2, 256])
-def test_text_grid_pieces_match_to_text(seed):
-    rng = np.random.default_rng(seed)
-    for rows, cols in GRID_SHAPES:
-        m = rng.random((rows, cols)) < 0.5
-        assert "".join(cli._text_grid_pieces(m)) == boolmat.to_text(m)
+def test_text_grid_pieces_match_to_text(monkeypatch, seed):
+    # to_text is the grid writer itself, so the text oracle is a plain per-row join
+    check_grid_pieces(monkeypatch, seed, "text")
 
 
 def test_zeta_json_bytes_match_json_dumps(capsys, tmp_path):
@@ -586,6 +600,37 @@ def test_digraph_writers_call_the_digraph_module_as_it_is_at_call_time(
     monkeypatch.setattr(digraph, name, traced)
     status, out, _ = run(capsys, "fibtree", "--levels", "3", "--format", fmt)
     assert status == 0 and out and calls == [(1, 1, 2)]
+
+
+# ... and the --from grids through boolmat.to_text, which it wraps the same way
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_from_grids_call_to_text_as_it_is_at_call_time(capsys, monkeypatch, tmp_path, fmt):
+    calls = []
+    original = boolmat.to_text
+
+    def traced(m, *form):
+        calls.append(m.shape)
+        return original(m, *form)
+
+    monkeypatch.setattr(boolmat, "to_text", traced)
+    path = write_json(tmp_path / "tree.json", digraph.digraph_to_json(cobweb.fibonacci_tree(3)))
+    status, out, _ = run(capsys, "zeta", "--from", path, "--format", fmt)
+    assert status == 0 and out and calls == [(4, 4)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeta", "--seq", "fibonacci", "--levels", "2"],
+    ["paths", "--x", "1", "--y", "6", "--levels", "2"],
+    ["hasse", "--seq", "naturals"],
+], ids=["seq-and-levels", "levels", "seq"])
+def test_from_refuses_seq_and_levels_before_reading_the_file(capsys, tmp_path, argv):
+    path = tmp_path / "n3.json"
+    assert run(capsys, "build", "--seq", "naturals", "--levels", "3", "--out", str(path)) == (
+        0, "", "")
+    for source in (path, tmp_path / "missing.json"):
+        status, out, err = run(capsys, *argv, "--from", str(source))
+        assert (status, out) == (1, "")
+        assert err == "error: --seq and --levels cannot be used with --from\n"
 
 
 @pytest.mark.parametrize("payload", [
