@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fseq import _GRID_FORMS, _ListForm, _rows
+from .fseq import GRID_FORMS, _ListForm, _rows
 
 BoolMatrix = np.ndarray
 ROW_BLOCK = 256  # rows per block where a whole n x n temporary is avoided
@@ -123,16 +123,17 @@ def chain_adjacency(blocks: Iterable[BoolMatrix], first: int) -> BoolMatrix:
     return out
 
 
-def to_text(m: BoolMatrix, form: _ListForm = _GRID_FORMS["text"]) -> str:
-    """The rows of a matrix in ``form``, one of ``fseq``'s layouts, joined by ``form.sep``.
+def to_text(m: BoolMatrix, form: _ListForm = GRID_FORMS["text"], start: int = 0,
+            stop: int | None = None) -> str:
+    """Rows ``start`` to ``stop - 1`` of a matrix (all by default), joined by ``form.sep``.
 
-    By default one line per row, single spaces, every line newline-terminated;
-    the empty (0-row) matrix is the empty string.  The caller writes
-    ``form.start`` and ``form.end``, so a grid can be rendered in row blocks.
+    ``form`` is one of ``fseq``'s layouts, by default newline-terminated lines
+    of single-spaced entries; no rows are the empty string.  With ``m`` bound,
+    this is a band's ``rows`` for ``fseq``'s piece writer, which adds the rest.
     """
-    m = as_bool_matrix(m)
+    m = as_bool_matrix(m)[start:stop]
     # a row of "0"s, tiled, with each row's digits added on
-    row = np.frombuffer(_rows(form, [(b"0", m.shape[1])], 1) + form.sep, dtype=np.uint8)
+    row = np.frombuffer(_rows(form, 0, 1, [(b"0", m.shape[1])]).encode() + form.sep, np.uint8)
     buf = np.tile(row, (len(m), 1))
     at, width = len(form.head) + form.at, len(form.entry)
     buf[:, at : at + width * m.shape[1] : width] += m

@@ -15,8 +15,8 @@ level sizes of a complete cobweb, which ``_FROM_SIZES`` answers in
 closed form through ``fseq``, with no numpy, no matrix and no closure;
 --from (and ``fibtree``) gives a ``GradedDigraph``, which
 ``_FROM_DIGRAPH`` answers through its matrices.  Both write the same
-bytes for the same cobweb, in ``fseq``'s grid layouts and piece size,
-which ``boolmat.to_text`` renders a matrix through.
+bytes for the same cobweb, in pieces, through ``fseq``'s writers of the
+grid and digraph JSON layouts, which ``boolmat.to_text`` renders rows for.
 
 Each process runs one subcommand, so the command loads only what that
 subcommand runs, and only once its input has been read and checked.  The
@@ -46,11 +46,13 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from typing import Iterable, Iterator, Optional, Sequence
 
 import cobwebs
 
 from .fseq import (
+    GRID_FORMS,
     FSequence,
     cobweb_arcs,
     cobweb_grid,
@@ -157,15 +159,8 @@ def _json_text(obj) -> str:
 
 
 def _grid_pieces(m: cobwebs.boolmat.BoolMatrix, fmt: str) -> Iterator[str]:
-    """``m`` in ``fseq``'s ``fmt`` grid layout, as ``boolmat.to_text`` of row blocks, in pieces."""
-    form = cobwebs.fseq._GRID_FORMS[fmt]
-    step = cobwebs.fseq._rows_per_piece(form, m.shape[1])
-    yield form.start.decode("ascii")
-    for start in range(0, len(m), step):
-        if start:
-            yield form.sep.decode("ascii")
-        yield cobwebs.boolmat.to_text(m[start : start + step], form)
-    yield form.end.decode("ascii")
+    """``m`` in ``fseq``'s ``fmt`` grid layout, in pieces, its rows rendered by ``to_text``."""
+    return GRID_FORMS[fmt].pieces(m.shape[1], [(len(m), partial(cobwebs.boolmat.to_text, m))])
 
 
 def _ferrers_report(failures: Sequence, strict_ok: bool) -> tuple[str, int]:
@@ -194,7 +189,7 @@ def _check_ferrers(d: cobwebs.digraph.GradedDigraph) -> tuple[str, int]:
 # from a graded digraph (--from, fibtree) through its matrices; ``cobwebs.<module>``
 # is read at call time, so wrappers installed on it (tracing, test doubles) apply
 _FROM_DIGRAPH = {
-    ("digraph", "json"): lambda d, a: (_json_text(cobwebs.digraph.digraph_to_json(d)), 0),
+    ("digraph", "json"): lambda d, a: (cobwebs.digraph.digraph_to_json(d), 0),
     ("digraph", "text"): lambda d, a: (
         _grid_pieces(cobwebs.digraph.global_adjacency(d), "text"), 0),
     ("digraph", "dot"): lambda d, a: (cobwebs.digraph.to_dot(d), 0),

@@ -26,7 +26,7 @@ builds itself without that check, since they are orders by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate
 from typing import Iterable, Iterator
 
@@ -41,13 +41,24 @@ from .boolmat import (
     closure_series,
     identity,
 )
-from .fseq import as_ints, dot_text, locate
+from . import boolmat
+from .fseq import _digraph_json, as_ints, dot_text, locate
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = a.copy()
     a.flags.writeable = False
     return a
+
+
+def _level_sizes(values: Iterable[int]) -> tuple[int, ...]:
+    """The level sizes as Python ints, checked to be at least one, each >= 1."""
+    levels = as_ints(values, "level sizes")
+    if not levels:
+        raise ValueError("at least one level is required")
+    if any(s < 1 for s in levels):
+        raise ValueError(f"level sizes must be >= 1, got {levels}")
+    return levels
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,12 +73,8 @@ class GradedDigraph:
     blocks: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        levels = as_ints(self.levels, "level sizes")
+        levels = _level_sizes(self.levels)
         object.__setattr__(self, "levels", levels)
-        if not levels:
-            raise ValueError("at least one level is required")
-        if any(s < 1 for s in levels):
-            raise ValueError(f"level sizes must be >= 1, got {levels}")
         blocks = tuple(_freeze(as_bool_matrix(b)) for b in self.blocks)  # after the level checks
         object.__setattr__(self, "blocks", blocks)
         if len(blocks) != len(levels) - 1:
@@ -244,16 +251,17 @@ def to_dot(d: GradedDigraph) -> str:
     return "".join(dot_text(d.levels, d.arcs()))
 
 
-def digraph_to_json(d: GradedDigraph) -> dict:
-    """JSON-ready dict: {"levels": [...], "arcs": [[row bit-lists] ...]}."""
-    return {
-        "levels": list(d.levels),
-        "arcs": [b.astype(int).tolist() for b in d.blocks],
-    }
+def digraph_to_json(d: GradedDigraph) -> Iterator[str]:
+    """The digraph JSON of ``d`` in pieces: ``fseq``'s layout, rows by ``boolmat.to_text``.
+
+    Joined, the pieces are ``json.dumps(indent=2, sort_keys=True)`` of
+    {"arcs": [each block's 0/1 rows], "levels": [sizes]}, then a newline.
+    """
+    return _digraph_json(d.levels, [partial(boolmat.to_text, b) for b in d.blocks])
 
 
 def levels_from_json(data: dict) -> tuple[int, ...]:
-    """The level sizes of digraph JSON, checked to be integers; no arc is read."""
+    """The level sizes of digraph JSON, checked as ``GradedDigraph`` does; no arc is read."""
     try:
         levels = tuple(data["levels"])
     except (KeyError, TypeError) as exc:
@@ -261,11 +269,11 @@ def levels_from_json(data: dict) -> tuple[int, ...]:
     for s in levels:
         if type(s) is not int:  # int() would accept 1.5, "1" and true
             raise ValueError(f"bad digraph JSON: level size {s!r} is not an integer")
-    return levels
+    return _level_sizes(levels)
 
 
 def digraph_from_json(data: dict) -> GradedDigraph:
-    """Inverse of ``digraph_to_json``; the JSON shape is checked before numpy sees it."""
+    """Inverse of ``digraph_to_json``, from the parsed JSON; its shape is checked before numpy."""
     levels = levels_from_json(data)
     try:
         arcs = list(data["arcs"])

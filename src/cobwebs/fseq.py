@@ -28,10 +28,11 @@ vertex of level i reaches one of level j > i by prod F_t Hasse paths
 over the levels strictly between.  ``cobweb_grid``, ``cobweb_json``,
 ``cobweb_arcs`` and ``cobweb_path_count`` write those answers byte for
 byte as the matrix path does, and ``dot_text`` is the one DOT writer for
-every graded digraph.  The text-grid, JSON-grid and complete-block JSON
-layouts are spelled only here (``_ListForm``): ``boolmat.to_text``
-renders any matrix through them.  Grids and drawings come in pieces of
-about ``PIECE_BYTES``, never as one string.
+every graded digraph.  The text-grid, JSON-grid and digraph JSON layouts
+are spelled only here: ``_ListForm.pieces`` writes every list of rows
+from row bands, which ``_rows`` fills for a cobweb and ``boolmat.to_text``
+for any matrix, and ``_digraph_json`` is the digraph JSON of both.  All
+come in pieces of about ``PIECE_BYTES``; only ``cobweb_json`` joins them.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import islice, product
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from functools import partial
+from itertools import accumulate, islice, product
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 MAX_LEVEL_SIZE = 2**63 - 1
 
@@ -211,7 +213,7 @@ def locate(levels: Sequence[int], v: int) -> tuple[int, int]:
 
 # -- a complete cobweb, answered from its level sizes ------------------------
 
-PIECE_BYTES = 1 << 20  # grids and drawings are written in pieces of about this size
+PIECE_BYTES = 1 << 20  # grids, digraph JSON and drawings come in pieces of about this size
 
 
 class _ListForm(NamedTuple):
@@ -225,6 +227,22 @@ class _ListForm(NamedTuple):
     sep: bytes  # between two rows
     end: bytes  # after the last row
 
+    def pieces(self, cols: int, bands: Iterable[tuple[int, Callable]]) -> Iterator[str]:
+        """The rows of ``bands`` as one list in this form, in pieces of about ``PIECE_BYTES``.
+
+        A band is ``(count, rows)``, and ``rows(form, start, stop)`` writes its rows
+        ``start`` to ``stop - 1``, of ``cols`` entries, joined by ``form.sep``.
+        """
+        start, sep, end = (b.decode("ascii") for b in (self.start, self.sep, self.end))
+        step = max(1, PIECE_BYTES // (len(_rows(self, 0, 1, [(b"0", cols)])) + len(self.sep)))
+        chunks = (rows(self, row, min(row + step, count))
+                  for count, rows in bands for row in range(0, count, step))
+        piece = start + next(chunks, "")  # the first piece opens the list, the last closes it
+        for chunk in chunks:
+            yield piece
+            piece = sep + chunk
+        yield piece + end
+
 
 def _json_form(depth: int, end: bytes = b"") -> _ListForm:
     """A list of rows nested ``depth`` lists deep in ``json.dumps(..., indent=2)``."""
@@ -234,76 +252,67 @@ def _json_form(depth: int, end: bytes = b"") -> _ListForm:
 
 
 # a whole grid by format: lines of 0/1 entries, or ``json.dumps(rows, indent=2) + "\n"``
-_GRID_FORMS = {"text": _ListForm(b"", b"", b"0 ", 0, b"\n", b"", b""),
-               "json": _json_form(0, b"\n")}
+GRID_FORMS = {"text": _ListForm(b"", b"", b"0 ", 0, b"\n", b"", b""),
+              "json": _json_form(0, b"\n")}
 
 
-def _rows_per_piece(form: _ListForm, cols: int) -> int:
-    """How many rows of ``cols`` entries make a piece of about ``PIECE_BYTES``; at least 1."""
-    stride = len(_rows(form, [(b"0", cols)], 1)) + len(form.sep)
-    return max(1, PIECE_BYTES // stride)
+def _rows(form: _ListForm, start: int, stop: int, runs: Sequence[tuple[bytes, int]],
+          first: Optional[int] = None) -> str:
+    """Rows ``start`` to ``stop - 1`` of a band of one row repeated, joined by ``form.sep``.
 
-
-def _rows(form: _ListForm, runs: Sequence[tuple[bytes, int]], count: int) -> bytes:
-    """``count`` copies of one row, joined by ``form.sep``.
-
-    The row's entries are ``runs``: (digit, how many) pairs in column order.
-    The copies are made as bytes: a ``bytearray`` too large for memory can
-    fail with a stray SystemError on CPython 3.11.
+    The row's entries are ``runs``: (digit, how many) pairs in column order;
+    with ``first``, the band's first row number, each row has its diagonal one
+    too.  Copies are bytes: a huge ``bytearray`` can raise SystemError on 3.11.
     """
     entry, at = form.entry, form.at
     cells = b"".join((entry[:at] + digit + entry[at + 1 :]) * width for digit, width in runs)
     row = form.head + cells[: len(cells) - (len(entry) - at - 1)] + form.tail
-    return form.sep.join([row] * count)
+    text = form.sep.join([row] * (stop - start))
+    if first is not None:  # row r's diagonal is one row and one entry past row r - 1's
+        text, skip = bytearray(text), len(row) + len(form.sep) + len(entry)
+        text[len(form.head) + len(entry) * (first + start) + at :: skip] = b"1" * (stop - start)
+    return text.decode("ascii")
 
 
 def cobweb_grid(sizes: Sequence[int], matrix: str, fmt: str) -> Iterator[str]:
     """The Hasse (``matrix="hasse"``) or zeta grid of the complete cobweb, in pieces.
 
-    ``fmt`` names the layout in ``_GRID_FORMS``.  Every row of a level
+    ``fmt`` names the layout in ``GRID_FORMS``.  Every row of a level
     reads the same: the Hasse row has ones on the next level only, the
     zeta row ones on every later level, plus its own diagonal one.  Each
-    level band is one row repeated, in pieces of about ``PIECE_BYTES``.
+    level is one band of ``GRID_FORMS[fmt].pieces``.
     """
-    form = _GRID_FORMS[fmt]
-    n, first = sum(sizes), 0
-    step = _rows_per_piece(form, n)
-    stride = len(_rows(form, [(b"0", n)], 1)) + len(form.sep)
-    for k, size in enumerate(sizes):
+    n, zeta, bands = sum(sizes), matrix == "zeta", []
+    for k, (first, size) in enumerate(zip(accumulate(sizes, initial=0), sizes)):
         last = first + size
-        if matrix == "zeta":
-            runs = [(b"0", last), (b"1", n - last)]
-        else:
-            onto = sizes[k + 1] if k + 1 < len(sizes) else 0
-            runs = [(b"0", last), (b"1", onto), (b"0", n - last - onto)]
-        for row in range(first, last, step):
-            count = min(step, last - row)
-            band = bytearray(_rows(form, runs, count))
-            if matrix == "zeta":  # row r's diagonal is column r: one entry further per row
-                at = len(form.head) + len(form.entry) * row + form.at
-                band[at :: stride + len(form.entry)] = b"1" * count
-            band[:0] = form.sep if row else form.start
-            if row + count == n:
-                band += form.end
-            yield band.decode("ascii")
-        first = last
+        onto = n - last if zeta else sum(sizes[k + 1 : k + 2])
+        runs = [(b"0", last), (b"1", onto), (b"0", n - last - onto)]
+        bands.append((size, partial(_rows, runs=runs, first=first if zeta else None)))
+    return GRID_FORMS[fmt].pieces(n, bands)
+
+
+def _digraph_json(levels: Sequence[int], blocks: Sequence[Callable]) -> Iterator[str]:
+    """Digraph JSON in pieces: ``json.dumps(indent=2, sort_keys=True)`` of a dict, then a newline.
+
+    The dict is {"arcs": [each block's 0/1 rows], "levels": [sizes]}; ``blocks[k]``
+    writes arc block k's rows, as a band's ``rows`` in ``_ListForm.pieces``.
+    """
+    form = _json_form(2)
+    yield '{\n  "arcs": ['
+    for k, rows in enumerate(blocks):
+        yield ",\n    " if k else "\n    "
+        yield from form.pieces(levels[k + 1], [(levels[k], rows)])
+    yield "\n  ],\n" if len(levels) > 1 else "],\n"
+    yield '  "levels": [\n' + ",\n".join(f"    {s}" for s in levels) + "\n  ]\n}\n"
 
 
 def cobweb_json(sizes: Sequence[int]) -> str:
-    """``digraph_to_json`` of the complete cobweb as ``json.dumps(indent=2, sort_keys=True)``.
+    """``digraph.digraph_to_json`` of the complete cobweb, joined: every arc block is all ones.
 
-    Each arc block is all ones: one row repeated.  The text is returned
-    whole, so a block too large for memory fails before any of it is written.
+    The text is returned whole, so a block too large for memory fails
+    before any of it is written.
     """
-    form = _json_form(2)
-    parts = [b'{\n  "arcs": [']
-    for k, (rows, cols) in enumerate(zip(sizes, sizes[1:])):
-        lead = b",\n    " if k else b"\n    "
-        parts += [lead, form.start, _rows(form, [(b"1", cols)], rows), form.end]
-    parts.append(b"\n  ],\n" if len(sizes) > 1 else b"],\n")
-    parts.append(b'  "levels": [\n' + ",\n".join(f"    {s}" for s in sizes).encode())
-    parts.append(b"\n  ]\n}\n")
-    return b"".join(parts).decode("ascii")
+    return "".join(_digraph_json(sizes, [partial(_rows, runs=[(b"1", c)]) for c in sizes[1:]]))
 
 
 def cobweb_arcs(sizes: Sequence[int]) -> Iterator[tuple[int, int]]:

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cobwebs import boolmat, cli, cobweb, digraph, fseq
@@ -35,6 +35,12 @@ def run_process(*argv, **env):
 
 def write_json(path, payload):
     path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+def write_digraph(path, d):
+    """Write ``d`` as the digraph JSON text that ``digraph_to_json`` gives in pieces."""
+    path.write_text("".join(digraph.digraph_to_json(d)), encoding="utf-8")
     return str(path)
 
 
@@ -152,9 +158,8 @@ def test_check_ferrers_ok(capsys):
 
 def test_check_ferrers_failure_prints_witness(capsys, tmp_path):
     from cobwebs.cobweb import fibonacci_tree
-    from cobwebs.digraph import digraph_to_json
 
-    path = write_json(tmp_path / "tree.json", digraph_to_json(fibonacci_tree(5)))
+    path = write_digraph(tmp_path / "tree.json", fibonacci_tree(5))
     status, out, _ = run(capsys, "check-ferrers", "--from", path)
     assert status == 1
     assert "FAIL: block 2 rows (1,2) cols (1,3) pattern 10" in out
@@ -165,10 +170,9 @@ def test_check_dim2(capsys, tmp_path):
     assert status == 0 and out.startswith("OK")
 
     from cobwebs.cobweb import build_cobweb, delete_arcs
-    from cobwebs.digraph import digraph_to_json
 
     pruned = delete_arcs(build_cobweb([1, 2, 2]), [(2, 4), (3, 5)])
-    path = write_json(tmp_path / "pruned.json", digraph_to_json(pruned))
+    path = write_digraph(tmp_path / "pruned.json", pruned)
     status, out, _ = run(capsys, "check-dim2", "--from", path)
     assert status == 1 and out.startswith("FAIL")
 
@@ -314,8 +318,8 @@ def check_grid_pieces(monkeypatch, seed, fmt):
             m = rng.random((rows, cols)) < 0.5
             pieces = list(cli._grid_pieces(m, fmt))
             assert "".join(pieces) == grid_oracle(m, fmt), (piece_bytes, rows, cols)
-            if piece_bytes == 1:  # start, each row, the separators between them, end
-                assert len(pieces) == max(2 * rows + 1, 2)
+            if piece_bytes == 1:  # a row per piece, the first opening the list, the last closing it
+                assert len(pieces) == max(rows, 1)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 256])
@@ -545,12 +549,13 @@ SEQ_ONLY = ["cobwebs.cli", "cobwebs.fseq"]  # a --seq answer is a closed form of
 def input_files(tmp_path, argv):
     """ARGV with the arguments DIGRAPH, LEFT, RIGHT and NARY written as input files."""
     files = {
-        "DIGRAPH": digraph.digraph_to_json(build_cobweb([1, 2, 3])),
         "LEFT": E1_JSON,
         "RIGHT": E2_JSON,
         "NARY": {"columns": [["x1", "x2"], ["z1"]], "tuples": [["x1", "z1"]]},
     }
-    return [write_json(tmp_path / f"{a}.json", files[a]) if a in files else a for a in argv]
+    written = {a: write_json(tmp_path / f"{a}.json", payload) for a, payload in files.items()}
+    written["DIGRAPH"] = write_digraph(tmp_path / "DIGRAPH.json", build_cobweb([1, 2, 3]))
+    return [written.get(a, a) for a in argv]
 
 
 def loaded_by(tmp_path, argv):
@@ -602,9 +607,14 @@ def test_digraph_writers_call_the_digraph_module_as_it_is_at_call_time(
     assert status == 0 and out and calls == [(1, 1, 2)]
 
 
-# ... and the --from grids through boolmat.to_text, which it wraps the same way
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_from_grids_call_to_text_as_it_is_at_call_time(capsys, monkeypatch, tmp_path, fmt):
+# ... and the --from grids and digraph JSON through boolmat.to_text, which it wraps the same way
+@pytest.mark.parametrize("argv, shapes", [
+    pytest.param(["zeta", "--format", "text"], [(4, 4)], id="text"),
+    pytest.param(["zeta", "--format", "json"], [(4, 4)], id="json"),
+    pytest.param(["hasse", "--format", "json"], [(1, 1), (1, 2)], id="digraph-json"),
+])
+def test_from_grids_call_to_text_as_it_is_at_call_time(
+        capsys, monkeypatch, tmp_path, argv, shapes):
     calls = []
     original = boolmat.to_text
 
@@ -612,10 +622,10 @@ def test_from_grids_call_to_text_as_it_is_at_call_time(capsys, monkeypatch, tmp_
         calls.append(m.shape)
         return original(m, *form)
 
+    path = write_digraph(tmp_path / "tree.json", cobweb.fibonacci_tree(3))
     monkeypatch.setattr(boolmat, "to_text", traced)
-    path = write_json(tmp_path / "tree.json", digraph.digraph_to_json(cobweb.fibonacci_tree(3)))
-    status, out, _ = run(capsys, "zeta", "--from", path, "--format", fmt)
-    assert status == 0 and out and calls == [(4, 4)]
+    status, out, _ = run(capsys, *argv, "--from", path)
+    assert status == 0 and out and calls == shapes
 
 
 @pytest.mark.parametrize("argv", [
@@ -684,6 +694,20 @@ def test_from_cap_is_checked_before_any_arc_is_read(capsys, tmp_path, monkeypatc
     status, out, err = run(capsys, "zeta", "--from", path)
     assert status == 1 and out == ""
     assert err == "error: construction of at least 12 vertices exceeds COBWEB_MAX_VERTICES=10\n"
+
+
+@pytest.mark.parametrize("levels", [[0, 2], [-20000, 25000]], ids=["zero", "negative"])
+def test_from_level_sizes_below_1_are_refused_before_any_arc_is_read(
+        capsys, tmp_path, monkeypatch, levels):
+    def never(*args):
+        raise AssertionError("arcs read after a level size below 1")
+
+    # a negative size would lower the cap's running total: 25000 - 20000 is under the cap
+    monkeypatch.setattr(digraph, "digraph_from_json", never)
+    path = write_json(tmp_path / "bad.json", {"levels": levels, "arcs": [[["x"]]]})
+    status, out, err = run(capsys, "zeta", "--from", path)
+    assert status == 1 and out == ""
+    assert err == f"error: level sizes must be >= 1, got {tuple(levels)}\n"
 
 
 def test_digraph_json_arc_entries_are_integers(capsys, tmp_path):
@@ -786,6 +810,32 @@ def test_closed_forms_match_the_matrix_path(sizes, data):
         answers_agree(sizes, *pair)
 
 
+@st.composite
+def graded_digraphs(draw):
+    """1 to 6 levels of 1 to 6 vertices, each arc block drawn entry by entry."""
+    levels = draw(st.lists(st.integers(1, 6), min_size=1, max_size=6))
+    blocks = [np.array(draw(st.lists(st.booleans(), min_size=r * c, max_size=r * c)),
+                       dtype=bool).reshape(r, c) for r, c in zip(levels, levels[1:])]
+    return digraph.GradedDigraph(levels, blocks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graded_digraphs())
+@example(digraph.GradedDigraph((3,), ()))
+def test_from_digraph_json_matches_json_dumps_at_every_piece_size(d):
+    oracle = json.dumps({"arcs": [b.astype(int).tolist() for b in d.blocks],
+                         "levels": list(d.levels)}, indent=2, sort_keys=True) + "\n"
+    source = digraph.digraph_from_json(json.loads(oracle))  # as --from reads the file
+    for piece_bytes in (1, 100, fseq.PIECE_BYTES):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fseq, "PIECE_BYTES", piece_bytes)
+            pieces, status = cli._FROM_DIGRAPH["digraph", "json"](source, None)
+            pieces = list(pieces)
+        assert status == 0 and "".join(pieces) == oracle, piece_bytes
+        if piece_bytes == 1:  # an arc block's row opens with 6 spaces and a bracket
+            assert all(piece.count("      [\n") <= 1 for piece in pieces)
+
+
 @pytest.mark.parametrize("piece_bytes", [1, 40])
 def test_grid_pieces_split_level_bands_without_changing_bytes(monkeypatch, piece_bytes):
     monkeypatch.setattr(fseq, "PIECE_BYTES", piece_bytes)  # under one row: a row per piece
@@ -807,3 +857,16 @@ def test_cap_grids_hold_far_less_than_n_squared_bytes(argv):
     assert status == 0
     # a few pieces of about fseq.PIECE_BYTES (1 MiB) at a time, not the whole grid or drawing
     assert peak < n * n // 12
+
+
+def test_rabbit_tree_json_holds_far_less_than_its_output():
+    tracemalloc.start()
+    try:
+        status = cli.main(["fibtree", "--levels", "18", "--format", "json", "--out", os.devnull])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    # the tree and its arc blocks (6.4 MB of bools) and a few pieces of about fseq.PIECE_BYTES
+    # (1 MiB), not the 73.5 MB of output or its nested int lists
+    assert peak < 32 * 2**20

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 
@@ -245,7 +246,7 @@ def test_json_roundtrip():
     rng = random.Random(31)
     for _ in range(25):
         d = rand_graded(rng)
-        again = digraph.digraph_from_json(digraph.digraph_to_json(d))
+        again = digraph.digraph_from_json(json.loads("".join(digraph.digraph_to_json(d))))
         assert again == d
     with pytest.raises(ValueError):
         digraph.digraph_from_json({"levels": [1, 2]})
