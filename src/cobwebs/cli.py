@@ -10,13 +10,29 @@ invalid input, on running out of memory and on an unwritable --out
 
 The subcommands that take --seq or --from (build, hasse, zeta, dot,
 paths, check-ferrers, check-dim2) share one handler.  ``_resolve`` reads
-the source once and picks one of two answer tables: --seq gives the
-level sizes of a complete cobweb, which ``_FROM_SIZES`` answers in
-closed form through ``fseq``, with no numpy, no matrix and no closure;
---from (and ``fibtree``) gives a ``GradedDigraph``, which
-``_FROM_DIGRAPH`` answers through its matrices.  Both write the same
-bytes for the same cobweb, in pieces, through ``fseq``'s writers of the
-grid and digraph JSON layouts, which ``boolmat.to_text`` renders rows for.
+the source once and picks an answer table.  A complete cobweb is
+answered from its level sizes by ``_FROM_SIZES``, in closed form through
+``fseq``, with no numpy, no matrix and no closure: --seq gives those
+sizes, and so does a --from file whose every arc entry is a one
+(``_FROM_COBWEB_FILE``, which writes its digraph JSON in pieces).  Any
+other --from file gives a ``GradedDigraph``, which ``_FROM_DIGRAPH``
+answers through its matrices; check-dim2 is the exception.  It checks
+the level-major realizer (``cobweb.realizer``), whose two orders
+intersect to "x < y exactly when x's level is below y's" (Dushnik and
+Miller 1941).  In a graded digraph a vertex reaches the next level only
+through its own arcs, so that is the digraph's order exactly when every
+arc block is all ones: check-dim2 --from is a completeness test, and a
+file with a missing arc fails it (``_MISSING_ARC``) with no digraph
+built, in one pass over the file's rows.  ``fibtree`` writes the rabbit
+tree from its generation rule (``fseq._tree_pieces``), without numpy
+too.  Every table writes the same bytes for the same digraph, in pieces,
+through ``fseq``'s writers of the grid and digraph JSON layouts, which
+``boolmat.to_text`` renders rows for on the matrix path.
+
+A --from file is read and checked by ``fseq``'s reader, with no numpy:
+its level sizes first, then each arc row by one C-level test of its
+entries' types and values.  ``digraph.digraph_from_json`` reads through
+the same reader.
 
 Each process runs one subcommand, so the command loads only what that
 subcommand runs, and only once its input has been read and checked.  The
@@ -26,12 +42,14 @@ written ``cobwebs.<module>.<name>``, and the package imports that module
 on first use.  ``join``, ``compose`` and ``decompose`` load only
 ``njoin``, whose relations are label dicts and Python ints, so they
 never import numpy; the matrix modules do.  Their calls come after the
-checks, so ``--help``, usage errors, every --seq answer, the vertex cap
-and an unreadable file never import numpy, and no cobweb subcommand
-loads ``njoin``, nor ``ferrers`` unless it checks a --from digraph.
-Python looks a callee up before it evaluates the arguments, so input
-for a matrix module is read and checked in a statement of its own, not
-inside the call that hands it to the library.
+checks, so ``--help``, usage errors, every --seq answer, every answer to
+a complete --from file, check-dim2 --from, ``fibtree``, the vertex cap
+and an unreadable or malformed file never import numpy, and no cobweb
+subcommand loads ``njoin``, nor ``ferrers`` unless it checks a --from
+digraph that is not a cobweb.  Python looks a callee up before it
+evaluates the arguments, so input for a matrix module is read and
+checked in a statement of its own, not inside the call that hands it to
+the library.
 
 The environment variable COBWEB_MAX_VERTICES (a positive integer, default
 10000) caps the size of any constructed digraph.  For --seq and
@@ -54,6 +72,9 @@ import cobwebs
 from .fseq import (
     GRID_FORMS,
     FSequence,
+    _json_arcs,
+    _json_levels,
+    _tree_pieces,
     cobweb_arcs,
     cobweb_grid,
     cobweb_json,
@@ -113,13 +134,24 @@ def _load_json(path: str) -> dict:
 
 
 def _resolve(args: argparse.Namespace) -> tuple[dict, object]:
-    """The answer table and its source: a graded digraph from --from, level sizes from --seq."""
+    """The answer table and its source.
+
+    A cobweb, from --seq or a --from file whose every arc entry is a one,
+    is answered from its level sizes.  Any other --from file is answered
+    through its ``GradedDigraph``, except ``check-dim2``, which fails on it
+    without one.
+    """
     if getattr(args, "from_path", None):
         if args.seq is not None or args.levels is not None:
             raise ValueError("--seq and --levels cannot be used with --from")
         data = _load_json(args.from_path)
-        _check_size(cobwebs.digraph.levels_from_json(data))  # before any arc is read
-        return _FROM_DIGRAPH, cobwebs.digraph.digraph_from_json(data)
+        levels = _check_size(_json_levels(data))  # before any arc is read
+        arcs, complete = _json_arcs(data, levels)
+        if complete:
+            return _FROM_COBWEB_FILE, levels
+        if (args.answer, args.format) in _MISSING_ARC:
+            return _MISSING_ARC, levels
+        return _FROM_DIGRAPH, cobwebs.digraph.GradedDigraph(levels, tuple(arcs))
     if not args.seq:
         raise ValueError("either --seq or --from is required")
     sizes = _sizes(FSequence.parse(args.seq), args.levels)
@@ -186,8 +218,9 @@ def _check_ferrers(d: cobwebs.digraph.GradedDigraph) -> tuple[str, int]:
 
 # -- answers: (text or its pieces, exit status), keyed by (answer, format) ---
 
-# from a graded digraph (--from, fibtree) through its matrices; ``cobwebs.<module>``
-# is read at call time, so wrappers installed on it (tracing, test doubles) apply
+# from a graded digraph (a --from file with a missing arc) through its matrices;
+# ``cobwebs.<module>`` is read at call time, so wrappers installed on it (tracing,
+# test doubles) apply
 _FROM_DIGRAPH = {
     ("digraph", "json"): lambda d, a: (cobwebs.digraph.digraph_to_json(d), 0),
     ("digraph", "text"): lambda d, a: (
@@ -199,14 +232,21 @@ _FROM_DIGRAPH = {
         _grid_pieces(cobwebs.digraph.transitive_closure(d).leq, "json"), 0),
     ("paths", None): lambda d, a: (f"{cobwebs.cobweb.count_paths(d, a.x, a.y)}\n", 0),
     ("check-ferrers", None): lambda d, a: _check_ferrers(d),
-    ("check-dim2", None): lambda d, a: _dim2_report(cobwebs.cobweb.verify_dim2(d)),
 }
 
-# from the level sizes of a complete cobweb (--seq) in closed form: no numpy.
+# from the level sizes of a --from file with a missing arc: its level-major realizer
+# orders every vertex of a level below every vertex of the next, which only an arc
+# between them can give, so it realizes the order exactly when no arc is missing
+_MISSING_ARC = {
+    ("check-dim2", None): lambda s, a: _dim2_report(False),
+}
+
+# from the level sizes of a complete cobweb (--seq, complete --from) in closed form: no numpy.
 # Its blocks are all ones and its strict order's rows nest level by level, so
 # both are Ferrers; its level-major realizer is exact (``cobweb.realizer``)
 _FROM_SIZES = {
-    ("digraph", "json"): lambda s, a: (cobweb_json(s), 0),
+    # joined whole, so that a cobweb too large for memory fails before any of it is written
+    ("digraph", "json"): lambda s, a: ("".join(cobweb_json(s)), 0),
     ("digraph", "text"): lambda s, a: (cobweb_grid(s, "hasse", "text"), 0),
     ("digraph", "dot"): lambda s, a: (dot_text(s, cobweb_arcs(s)), 0),
     ("zeta", "text"): lambda s, a: (cobweb_grid(s, "zeta", "text"), 0),
@@ -215,6 +255,11 @@ _FROM_SIZES = {
     ("check-ferrers", None): lambda s, a: _ferrers_report((), True),
     ("check-dim2", None): lambda s, a: _dim2_report(True),
 }
+
+
+# a complete --from file, answered from its level sizes as --seq is; its digraph JSON is
+# about as large as the file just read, so it is written in pieces, not joined
+_FROM_COBWEB_FILE = {**_FROM_SIZES, ("digraph", "json"): lambda s, a: (cobweb_json(s), 0)}
 
 
 # -- subcommand handlers: each returns (text or its pieces, exit status) -----
@@ -248,7 +293,7 @@ def _cmd_decompose(args):
 def _cmd_fibtree(args):
     # the tree's level sizes are the Fibonacci numbers: check the cap first
     _sizes(FSequence.fibonacci(), args.levels)
-    return _FROM_DIGRAPH["digraph", args.format](cobwebs.cobweb.fibonacci_tree(args.levels), args)
+    return _tree_pieces(args.levels, args.format), 0
 
 
 # -- parser ------------------------------------------------------------------

@@ -29,7 +29,7 @@ import numpy as np
 
 from .boolmat import ROW_BLOCK, BoolMatrix, closure_series, ones_matrix
 from .digraph import GradedDigraph, global_adjacency, push_path_counts, transitive_closure
-from .fseq import FSequence, as_ints, cobweb_sizes
+from .fseq import FSequence, _rabbit_tree, as_ints, cobweb_sizes
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,19 +178,17 @@ def delete_arcs(
 def fibonacci_tree(n: int) -> GradedDigraph:
     """The rabbit-genealogy tree graded by generation.
 
-    Level sizes follow 1, 1, 2, 3, 5, ...  Each generation is a Boolean
-    ``mature`` vector, from one juvenile: a mature parent has two children,
-    a juvenile one, and every parent's first child is mature.  Block k has
-    a one at (parent_of_child[j], j) for each child j.  The result is a
-    subgraph of the Fibonacci cobweb Hasse digraph; its blocks are not Ferrers.
+    Level sizes follow 1, 1, 2, 3, 5, ...  The generation rule is
+    ``fseq._rabbit_tree``, which ``cobweb fibtree`` writes from as well:
+    a mature parent has two children, a juvenile one, and every parent's
+    first child is mature.  Block k has a one at (parent_of_child[j], j)
+    for each child j.  The result is a subgraph of the Fibonacci cobweb
+    Hasse digraph; its blocks are not Ferrers.
     """
-    if n < 1:
-        raise ValueError(f"level count must be >= 1, got {n}")
-    mature, blocks = np.zeros(1, dtype=bool), []  # generation 0: one juvenile
-    for _ in range(n - 1):
-        parent_of_child = np.repeat(np.arange(len(mature)), 1 + mature)
-        block = np.zeros((len(mature), len(parent_of_child)), dtype=bool)
+    blocks = []
+    for counts in _rabbit_tree(n):
+        parent_of_child = np.repeat(np.arange(len(counts)), counts)
+        block = np.zeros((len(counts), len(parent_of_child)), dtype=bool)
         block[parent_of_child, np.arange(len(parent_of_child))] = True
         blocks.append(block)
-        mature = np.concatenate(([True], parent_of_child[1:] != parent_of_child[:-1]))
     return GradedDigraph((1, *(b.shape[1] for b in blocks)), tuple(blocks))

@@ -42,23 +42,21 @@ from .boolmat import (
     identity,
 )
 from . import boolmat
-from .fseq import _digraph_json, as_ints, dot_text, locate
+from .fseq import (
+    _check_blocks,
+    _digraph_json,
+    _json_arcs,
+    _json_levels,
+    _level_sizes,
+    dot_text,
+    locate,
+)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = a.copy()
     a.flags.writeable = False
     return a
-
-
-def _level_sizes(values: Iterable[int]) -> tuple[int, ...]:
-    """The level sizes as Python ints, checked to be at least one, each >= 1."""
-    levels = as_ints(values, "level sizes")
-    if not levels:
-        raise ValueError("at least one level is required")
-    if any(s < 1 for s in levels):
-        raise ValueError(f"level sizes must be >= 1, got {levels}")
-    return levels
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,17 +75,7 @@ class GradedDigraph:
         object.__setattr__(self, "levels", levels)
         blocks = tuple(_freeze(as_bool_matrix(b)) for b in self.blocks)  # after the level checks
         object.__setattr__(self, "blocks", blocks)
-        if len(blocks) != len(levels) - 1:
-            raise ValueError(
-                f"expected {len(levels) - 1} arc blocks for "
-                f"{len(levels)} levels, got {len(blocks)}"
-            )
-        for k, b in enumerate(blocks):
-            if b.shape != (levels[k], levels[k + 1]):
-                raise ValueError(
-                    f"arc block {k} has shape {b.shape}, expected "
-                    f"{(levels[k], levels[k + 1])}"
-                )
+        _check_blocks(levels, [b.shape for b in blocks])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedDigraph):
@@ -260,31 +248,11 @@ def digraph_to_json(d: GradedDigraph) -> Iterator[str]:
     return _digraph_json(d.levels, [partial(boolmat.to_text, b) for b in d.blocks])
 
 
-def levels_from_json(data: dict) -> tuple[int, ...]:
-    """The level sizes of digraph JSON, checked as ``GradedDigraph`` does; no arc is read."""
-    try:
-        levels = tuple(data["levels"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"bad digraph JSON: {exc}") from None
-    for s in levels:
-        if type(s) is not int:  # int() would accept 1.5, "1" and true
-            raise ValueError(f"bad digraph JSON: level size {s!r} is not an integer")
-    return _level_sizes(levels)
-
-
 def digraph_from_json(data: dict) -> GradedDigraph:
-    """Inverse of ``digraph_to_json``, from the parsed JSON; its shape is checked before numpy."""
-    levels = levels_from_json(data)
-    try:
-        arcs = list(data["arcs"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"bad digraph JSON: {exc}") from None
-    for k, b in enumerate(arcs):
-        if not isinstance(b, list) or not all(
-            isinstance(row, list) and all(type(x) is int and x in (0, 1) for x in row)
-            for row in b
-        ):  # ``x in (0, 1)`` alone would accept true, false and 1.0
-            raise ValueError(f"bad digraph JSON: arc block {k} is not a list of 0/1 rows")
-        if len({len(row) for row in b}) > 1:
-            raise ValueError(f"bad digraph JSON: arc block {k} has rows of unequal length")
-    return GradedDigraph(levels, tuple(as_bool_matrix(b) for b in arcs))
+    """Inverse of ``digraph_to_json``, from the parsed JSON.
+
+    The levels and then the arcs are read and checked by ``fseq``'s reader,
+    one C-level test per row, before numpy sees them.
+    """
+    levels = _json_levels(data)
+    return GradedDigraph(levels, tuple(_json_arcs(data, levels)[0]))

@@ -32,7 +32,17 @@ every graded digraph.  The text-grid, JSON-grid and digraph JSON layouts
 are spelled only here: ``_ListForm.pieces`` writes every list of rows
 from row bands, which ``_rows`` fills for a cobweb and ``boolmat.to_text``
 for any matrix, and ``_digraph_json`` is the digraph JSON of both.  All
-come in pieces of about ``PIECE_BYTES``; only ``cobweb_json`` joins them.
+come in pieces of about ``PIECE_BYTES``.
+
+Two more things a graded digraph needs come without numpy.  Digraph JSON
+is read and checked here (``_json_levels``, then ``_json_arcs``, one
+C-level test per row), with the level-size and block-shape checks that
+``digraph.GradedDigraph`` shares, so the CLI can check a --from file, and
+answer a complete one from its sizes, before numpy is imported.  And the
+rabbit tree's generation rule is here (``_rabbit_tree``): each row of the
+tree has one run of ones, on its own children, so ``_tree_pieces`` writes
+the tree's digraph JSON, grid and DOT through the writers above, and
+``cobweb.fibonacci_tree`` builds its blocks from the same rule.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, islice, product
+from itertools import accumulate, islice, product, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 MAX_LEVEL_SIZE = 2**63 - 1
@@ -201,6 +211,29 @@ def cobweb_sizes(f: FSequence | Iterable[int], n: Optional[int] = None) -> Itera
     return iter(sizes)
 
 
+def _level_sizes(values: Iterable[int]) -> tuple[int, ...]:
+    """The level sizes of a graded digraph as Python ints: at least one, each >= 1."""
+    levels = as_ints(values, "level sizes")
+    if not levels:
+        raise ValueError("at least one level is required")
+    if any(s < 1 for s in levels):
+        raise ValueError(f"level sizes must be >= 1, got {levels}")
+    return levels
+
+
+def _check_blocks(levels: Sequence[int], shapes: Sequence[tuple[int, int]]) -> None:
+    """A graded digraph's arc blocks: one per pair of consecutive levels, each of their shape."""
+    if len(shapes) != len(levels) - 1:
+        raise ValueError(
+            f"expected {len(levels) - 1} arc blocks for {len(levels)} levels, got {len(shapes)}"
+        )
+    for k, shape in enumerate(shapes):
+        if shape != (levels[k], levels[k + 1]):
+            raise ValueError(
+                f"arc block {k} has shape {shape}, expected {(levels[k], levels[k + 1])}"
+            )
+
+
 def locate(levels: Sequence[int], v: int) -> tuple[int, int]:
     """(level, 0-based position in it) of global 1-based vertex v, numbered level-major."""
     rest = v - 1
@@ -306,13 +339,9 @@ def _digraph_json(levels: Sequence[int], blocks: Sequence[Callable]) -> Iterator
     yield '  "levels": [\n' + ",\n".join(f"    {s}" for s in levels) + "\n  ]\n}\n"
 
 
-def cobweb_json(sizes: Sequence[int]) -> str:
-    """``digraph.digraph_to_json`` of the complete cobweb, joined: every arc block is all ones.
-
-    The text is returned whole, so a block too large for memory fails
-    before any of it is written.
-    """
-    return "".join(_digraph_json(sizes, [partial(_rows, runs=[(b"1", c)]) for c in sizes[1:]]))
+def cobweb_json(sizes: Sequence[int]) -> Iterator[str]:
+    """``digraph.digraph_to_json`` of the complete cobweb, in pieces: every arc block is ones."""
+    return _digraph_json(sizes, [partial(_rows, runs=[(b"1", c)]) for c in sizes[1:]])
 
 
 def cobweb_arcs(sizes: Sequence[int]) -> Iterator[tuple[int, int]]:
@@ -362,3 +391,107 @@ def _dot_lines(levels: Sequence[int], arcs: Iterable[tuple[int, int]]) -> Iterat
         first += size
     yield from (f"  {u} -> {v};\n" for u, v in arcs)
     yield "}\n"
+
+
+# -- digraph JSON, read and checked without numpy ----------------------------
+
+def _json_levels(data: dict) -> tuple[int, ...]:
+    """The level sizes of parsed digraph JSON, checked as a graded digraph's; no arc is read."""
+    try:
+        levels = tuple(data["levels"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"bad digraph JSON: {exc}") from None
+    for s in levels:
+        if type(s) is not int:  # int() would accept 1.5, "1" and true
+            raise ValueError(f"bad digraph JSON: level size {s!r} is not an integer")
+    return _level_sizes(levels)
+
+
+def _json_arcs(data: dict, levels: Sequence[int]) -> tuple[list, bool]:
+    """The arc blocks of parsed digraph JSON, checked, and whether every entry is a one.
+
+    Each row is checked in C: the types of its entries are ``int`` alone, so
+    ``true``, ``false`` and ``1.0`` fail, and its zeros and ones add up to its
+    length.  A block's rows are checked before their lengths are compared,
+    and the blocks' count and shapes last, with ``_check_blocks``.
+    """
+    try:
+        arcs = list(data["arcs"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"bad digraph JSON: {exc}") from None
+    complete = True
+    for k, b in enumerate(arcs):
+        if not isinstance(b, list) or not all(
+            isinstance(row, list) and set(map(type, row)) <= {int}
+            and row.count(0) + row.count(1) == len(row) for row in b
+        ):
+            raise ValueError(f"bad digraph JSON: arc block {k} is not a list of 0/1 rows")
+        if len({len(row) for row in b}) > 1:
+            raise ValueError(f"bad digraph JSON: arc block {k} has rows of unequal length")
+        complete = complete and all(row.count(1) == len(row) for row in b)
+    _check_blocks(levels, [(len(b), len(b[0]) if b else 0) for b in arcs])
+    return arcs, complete
+
+
+# -- the rabbit tree, from its generation rule -------------------------------
+
+def _rabbit_tree(n: int) -> list[list[int]]:
+    """The arc blocks of the rabbit-genealogy tree of ``n`` generations, as child counts.
+
+    Generation 0 is one juvenile.  A mature rabbit has two children and a
+    juvenile one; a parent's first child is mature, its second juvenile.
+    Block k lists each rabbit of generation k's number of children, in
+    order.  The children are numbered parent by parent, so row i of block k
+    has ones on ``counts[i]`` consecutive columns from ``sum(counts[:i])``,
+    and the generations have 1, 1, 2, 3, 5, ... rabbits.
+    """
+    if n < 1:
+        raise ValueError(f"level count must be >= 1, got {n}")
+    mature, blocks = [False], []
+    for _ in range(n - 1):
+        blocks.append([1 + m for m in mature])
+        mature = [child == 0 for m in mature for child in range(1 + m)]
+    return blocks
+
+
+def _child_runs(counts: Sequence[int], shift: int, width: int) -> list[list[tuple[bytes, int]]]:
+    """Each row of a tree block as ``_rows`` runs, ``width`` entries: ones on its children.
+
+    The block's columns start ``shift`` entries into the row.
+    """
+    return [[(b"0", shift + first), (b"1", c), (b"0", width - shift - first - c)]
+            for first, c in zip(accumulate(counts, initial=0), counts)]
+
+
+def _rows_each(form: _ListForm, start: int, stop: int, runs: Sequence) -> str:
+    """Rows ``start`` to ``stop - 1`` of a band, row r of ``runs[r]``, joined by ``form.sep``."""
+    return form.sep.decode("ascii").join([_rows(form, 0, 1, r) for r in runs[start:stop]])
+
+
+def _tree_arcs(blocks: Sequence[Sequence[int]], offsets: Sequence[int]) -> Iterator[tuple]:
+    """The 1-based arcs of the rabbit tree, parent by parent: each to its own children."""
+    for k, counts in enumerate(blocks):
+        children = iter(range(offsets[k + 1] + 1, offsets[k + 2] + 1))
+        for parent, c in enumerate(counts, offsets[k] + 1):
+            yield from zip(repeat(parent, c), children)
+
+
+def _tree_pieces(n: int, fmt: str) -> Iterator[str]:
+    """``fibtree``: the rabbit tree of ``n`` generations as digraph JSON, text grid or DOT.
+
+    The pieces are those that ``digraph.digraph_to_json``, the text grid of
+    ``digraph.global_adjacency`` and ``digraph.to_dot`` write for
+    ``cobweb.fibonacci_tree(n)``, written from ``_rabbit_tree`` without numpy.
+    """
+    blocks = _rabbit_tree(n)
+    levels = [1, *map(sum, blocks)]
+    offsets = list(accumulate(levels, initial=0))
+    total = offsets[-1]
+    if fmt == "json":
+        return _digraph_json(levels, [partial(_rows_each, runs=_child_runs(c, 0, sum(c)))
+                                      for c in blocks])
+    if fmt == "text":  # one band per level; the last level's rabbits have no children
+        bands = [(len(c), partial(_rows_each, runs=_child_runs(c, offsets[k + 1], total)))
+                 for k, c in enumerate([*blocks, [0] * levels[-1]])]
+        return GRID_FORMS["text"].pieces(total, bands)
+    return dot_text(levels, _tree_arcs(blocks, offsets))

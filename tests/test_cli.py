@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import random
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cobwebs
 from cobwebs import boolmat, cli, cobweb, digraph, fseq
 from cobwebs.cobweb import build_cobweb
 from cobwebs.fseq import FSequence
@@ -448,9 +451,9 @@ def test_vertex_cap_must_be_a_positive_integer(capsys, monkeypatch, raw):
 
 def test_fibtree_cap_is_checked_before_the_tree_is_built(capsys, monkeypatch):
     def never(n):
-        raise AssertionError(f"fibonacci_tree({n}) built past the vertex cap")
+        raise AssertionError(f"rabbit tree of {n} generations grown past the vertex cap")
 
-    monkeypatch.setattr(cobweb, "fibonacci_tree", never)
+    monkeypatch.setattr(fseq, "_rabbit_tree", never)  # fibtree and fibonacci_tree grow from it
     monkeypatch.setenv("COBWEB_MAX_VERTICES", "10")
     status, out, err = run(capsys, "fibtree", "--levels", "40")
     assert status == 1 and out == "" and "exceeds COBWEB_MAX_VERTICES=10" in err
@@ -480,16 +483,25 @@ def test_level_sizes_stop_once_the_cap_is_passed(capsys, monkeypatch):
     (["fibtree", "--levels", "40"], {"COBWEB_MAX_VERTICES": "10"}, 1,
      "exceeds COBWEB_MAX_VERTICES=10"),
     (["zeta", "--from", "MISSING"], {}, 1, "error: cannot read"),
+    (["zeta", "--from", "OVER_CAP"], {"COBWEB_MAX_VERTICES": "10"}, 1,
+     "error: construction of at least 50 vertices exceeds COBWEB_MAX_VERTICES=10"),
+    (["zeta", "--from", "BELOW_1"], {}, 1, "error: level sizes must be >= 1, got (0, 2)"),
+    (["zeta", "--from", "BAD_ARCS"], {}, 1,
+     "error: bad digraph JSON: arc block 0 is not a list of 0/1 rows"),
     (["paths", "--seq", "naturals", "--levels", "4", "--x", "0", "--y", "3"], {}, 1,
      "vertex 0 out of range 1..10"),
     (["paths", "--seq", "naturals", "--levels", "4", "--x", "1", "--y", "11"], {}, 1,
      "vertex 11 out of range 1..10"),
     (["hasse", "--seq", "naturals:5", "--levels", "3"], {}, 1,
      "bad sequence spec 'naturals:5': naturals takes no argument"),
-], ids=["help", "usage", "bad-seq", "cap", "fibtree-cap", "missing-file", "paths-x", "paths-y",
-        "seq-argument"])
+], ids=["help", "usage", "bad-seq", "cap", "fibtree-cap", "missing-file", "from-cap",
+        "from-level-below-1", "from-bad-arcs", "paths-x", "paths-y", "seq-argument"])
 def test_early_exits_never_import_numpy(tmp_path, argv, env, status, message):
-    argv = [str(tmp_path / "missing.json") if a == "MISSING" else a for a in argv]
+    files = {"MISSING": str(tmp_path / "missing.json"),
+             "OVER_CAP": write_json(tmp_path / "over.json", {"levels": [50, 50], "arcs": [[]]}),
+             "BELOW_1": write_json(tmp_path / "below.json", {"levels": [0, 2], "arcs": [[]]}),
+             "BAD_ARCS": write_json(tmp_path / "bad.json", {"levels": [1, 2], "arcs": [[[1, 2]]]})}
+    argv = [files.get(a, a) for a in argv]
     proc, imports = run_importtime(argv, **env)
     assert proc.returncode == status
     assert message in (proc.stdout if status == 0 else proc.stderr)
@@ -531,6 +543,38 @@ def test_relation_commands_never_import_numpy(tmp_path, argv):
     assert imports and not [ln for ln in imports if "numpy" in ln]
 
 
+# every --from subcommand and format: the --seq ones less build, which takes no --from
+FROM_ANSWERS = [argv for argv in SEQ_ANSWERS if argv != ["build"]]
+
+
+@pytest.mark.parametrize("argv, status", [
+    *[pytest.param([*a, "--from", "COBWEB"], 0, id=" ".join(a) + " --from cobweb")
+      for a in FROM_ANSWERS],
+    pytest.param(["check-dim2", "--from", "DIGRAPH"], 1, id="check-dim2 --from digraph"),
+    *[pytest.param(["fibtree", "--levels", "6", "--format", f], 0, id=f"fibtree {f}")
+      for f in ("json", "text", "dot")],
+])
+def test_answers_without_matrices_never_import_numpy(tmp_path, argv, status):
+    proc, imports = run_importtime(input_files(tmp_path, argv))
+    assert proc.returncode == status and proc.stdout
+    assert imports and not [ln for ln in imports if "numpy" in ln]
+
+
+def test_check_ferrers_from_a_digraph_calls_bool_product(capsys, monkeypatch, tmp_path):
+    # the one CLI call of boolmat.bool_product that the benchmark's traced deck makes
+    calls = []
+    original = boolmat.bool_product
+
+    def traced(a, b):
+        calls.append((a.shape, b.shape))
+        return original(a, b)
+
+    path = write_digraph(tmp_path / "d.json", NOT_A_COBWEB)
+    monkeypatch.setattr(digraph, "bool_product", traced)  # the binding the level sweep calls
+    status, out, _ = run(capsys, "check-ferrers", "--from", path)
+    assert status == 0 and out and calls
+
+
 # the package modules one command leaves loaded
 LOADED_BY = """
 import contextlib, io, sys
@@ -546,15 +590,20 @@ CORE = ["cobwebs.boolmat", "cobwebs.cli", "cobwebs.digraph", "cobwebs.fseq"]
 SEQ_ONLY = ["cobwebs.cli", "cobwebs.fseq"]  # a --seq answer is a closed form of the level sizes
 
 
+# a --from file with every arc but one: answered through its matrices
+NOT_A_COBWEB = cobweb.delete_arcs(build_cobweb([1, 2, 3]), [(2, 4)])
+
+
 def input_files(tmp_path, argv):
-    """ARGV with the arguments DIGRAPH, LEFT, RIGHT and NARY written as input files."""
+    """ARGV with the arguments COBWEB, DIGRAPH, LEFT, RIGHT and NARY written as input files."""
     files = {
         "LEFT": E1_JSON,
         "RIGHT": E2_JSON,
         "NARY": {"columns": [["x1", "x2"], ["z1"]], "tuples": [["x1", "z1"]]},
     }
     written = {a: write_json(tmp_path / f"{a}.json", payload) for a, payload in files.items()}
-    written["DIGRAPH"] = write_digraph(tmp_path / "DIGRAPH.json", build_cobweb([1, 2, 3]))
+    written["DIGRAPH"] = write_digraph(tmp_path / "DIGRAPH.json", NOT_A_COBWEB)
+    written["COBWEB"] = write_digraph(tmp_path / "COBWEB.json", build_cobweb([1, 2, 3]))
     return [written.get(a, a) for a in argv]
 
 
@@ -570,8 +619,10 @@ def loaded_by(tmp_path, argv):
     *[pytest.param([c, *SEQ], SEQ_ONLY, id=c)
       for c in ("zeta", "hasse", "dot", "build", "check-dim2")],
     pytest.param(["paths", *SEQ, "--x", "1", "--y", "4"], SEQ_ONLY, id="paths"),
-    pytest.param(["fibtree", "--levels", "3"], [*CORE, "cobwebs.cobweb"], id="fibtree"),
+    pytest.param(["fibtree", "--levels", "3"], SEQ_ONLY, id="fibtree"),
     pytest.param(["zeta", "--from", "DIGRAPH"], CORE, id="zeta-from"),
+    pytest.param(["dot", "--from", "DIGRAPH"], CORE, id="dot-from"),
+    pytest.param(["zeta", "--from", "COBWEB"], SEQ_ONLY, id="zeta-from-cobweb"),
     pytest.param(["hasse", "--from", "DIGRAPH"], CORE, id="hasse-from"),
     pytest.param(["paths", "--from", "DIGRAPH", "--x", "1", "--y", "4"],
                  [*CORE, "cobwebs.cobweb"], id="paths-from"),
@@ -594,7 +645,7 @@ def test_ferrers_and_relation_subcommands_load_only_their_module(tmp_path, argv,
     ("text", "global_adjacency"), ("dot", "to_dot"), ("json", "digraph_to_json"),
 ])
 def test_digraph_writers_call_the_digraph_module_as_it_is_at_call_time(
-        capsys, monkeypatch, fmt, name):
+        capsys, monkeypatch, tmp_path, fmt, name):
     calls = []
     original = getattr(digraph, name)
 
@@ -602,16 +653,18 @@ def test_digraph_writers_call_the_digraph_module_as_it_is_at_call_time(
         calls.append(d.levels)
         return original(d)
 
+    path = write_digraph(tmp_path / "tree.json", cobweb.fibonacci_tree(4))  # not a cobweb
     monkeypatch.setattr(digraph, name, traced)
-    status, out, _ = run(capsys, "fibtree", "--levels", "3", "--format", fmt)
-    assert status == 0 and out and calls == [(1, 1, 2)]
+    argv = {"text": ["hasse"], "dot": ["dot"], "json": ["hasse", "--format", "json"]}[fmt]
+    status, out, _ = run(capsys, *argv, "--from", path)
+    assert status == 0 and out and calls == [(1, 1, 2, 3)]
 
 
 # ... and the --from grids and digraph JSON through boolmat.to_text, which it wraps the same way
 @pytest.mark.parametrize("argv, shapes", [
-    pytest.param(["zeta", "--format", "text"], [(4, 4)], id="text"),
-    pytest.param(["zeta", "--format", "json"], [(4, 4)], id="json"),
-    pytest.param(["hasse", "--format", "json"], [(1, 1), (1, 2)], id="digraph-json"),
+    pytest.param(["zeta", "--format", "text"], [(7, 7)], id="text"),
+    pytest.param(["zeta", "--format", "json"], [(7, 7)], id="json"),
+    pytest.param(["hasse", "--format", "json"], [(1, 1), (1, 2), (2, 3)], id="digraph-json"),
 ])
 def test_from_grids_call_to_text_as_it_is_at_call_time(
         capsys, monkeypatch, tmp_path, argv, shapes):
@@ -622,7 +675,7 @@ def test_from_grids_call_to_text_as_it_is_at_call_time(
         calls.append(m.shape)
         return original(m, *form)
 
-    path = write_digraph(tmp_path / "tree.json", cobweb.fibonacci_tree(3))
+    path = write_digraph(tmp_path / "tree.json", cobweb.fibonacci_tree(4))  # not a cobweb
     monkeypatch.setattr(boolmat, "to_text", traced)
     status, out, _ = run(capsys, *argv, "--from", path)
     assert status == 0 and out and calls == shapes
@@ -689,6 +742,7 @@ def test_from_cap_is_checked_before_any_arc_is_read(capsys, tmp_path, monkeypatc
         raise AssertionError("graded digraph built past the vertex cap")
 
     monkeypatch.setattr(digraph, "GradedDigraph", never)
+    monkeypatch.setattr(cli, "_json_arcs", never)
     monkeypatch.setenv("COBWEB_MAX_VERTICES", "10")
     path = write_json(tmp_path / "big.json", {"levels": [6, 6], "arcs": arcs})
     status, out, err = run(capsys, "zeta", "--from", path)
@@ -704,6 +758,7 @@ def test_from_level_sizes_below_1_are_refused_before_any_arc_is_read(
 
     # a negative size would lower the cap's running total: 25000 - 20000 is under the cap
     monkeypatch.setattr(digraph, "digraph_from_json", never)
+    monkeypatch.setattr(cli, "_json_arcs", never)
     path = write_json(tmp_path / "bad.json", {"levels": levels, "arcs": [[["x"]]]})
     status, out, err = run(capsys, "zeta", "--from", path)
     assert status == 1 and out == ""
@@ -790,15 +845,38 @@ def joined(output) -> str:
     return output if isinstance(output, str) else "".join(output)
 
 
+def matrix_answers(d, x, y) -> dict:
+    """Every --seq/--from answer, (text, exit status) by (answer, format), from ``d``'s matrices."""
+    z = digraph.transitive_closure(d).leq
+    ferrers_failures = [f"FAIL: block {k} {w.describe()}\n"
+                        for k, w in cobwebs.ferrers.chain_is_ferrers(list(d.blocks)).failures]
+    strict_ok = cobwebs.ferrers.strict_order_is_ferrers(z)
+    return {
+        ("digraph", "json"): ("".join(digraph.digraph_to_json(d)), 0),
+        ("digraph", "text"): (grid_oracle(digraph.global_adjacency(d), "text"), 0),
+        ("digraph", "dot"): (digraph.to_dot(d), 0),
+        ("zeta", "text"): (grid_oracle(z, "text"), 0),
+        ("zeta", "json"): (grid_oracle(z, "json"), 0),
+        ("paths", None): (f"{cobweb.count_paths(d, x, y)}\n", 0),
+        ("check-ferrers", None): (
+            "".join(ferrers_failures or ["OK: all blocks Ferrers\n"])
+            + ("OK: strict order matrix Ferrers\n" if strict_ok
+               else "FAIL: strict order matrix not Ferrers\n"),
+            0 if not ferrers_failures and strict_ok else 1),
+        ("check-dim2", None): (
+            ("OK: realizer of two linear orders verified\n", 0) if cobweb.verify_dim2(d)
+            else ("FAIL: linear-order intersection differs from the partial order\n", 1)),
+    }
+
+
 def answers_agree(sizes, x, y) -> None:
     """Every --seq answer equals the matrix path's answer on the built cobweb."""
-    d = build_cobweb(sizes)
     args = argparse.Namespace(x=x, y=y)
-    assert set(cli._FROM_SIZES) == set(cli._FROM_DIGRAPH)
+    oracle = matrix_answers(build_cobweb(sizes), x, y)
+    assert set(cli._FROM_SIZES) == set(oracle)
     for key, closed_form in cli._FROM_SIZES.items():
         text, status = closed_form(sizes, args)
-        oracle_text, oracle_status = cli._FROM_DIGRAPH[key](d, args)
-        assert (joined(text), status) == (joined(oracle_text), oracle_status), key
+        assert (joined(text), status) == oracle[key], key
 
 
 @settings(max_examples=150, deadline=None)
@@ -812,11 +890,96 @@ def test_closed_forms_match_the_matrix_path(sizes, data):
 
 @st.composite
 def graded_digraphs(draw):
-    """1 to 6 levels of 1 to 6 vertices, each arc block drawn entry by entry."""
+    """1 to 6 levels of 1 to 6 vertices: a cobweb, or each arc block drawn entry by entry."""
     levels = draw(st.lists(st.integers(1, 6), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        return build_cobweb(levels)
     blocks = [np.array(draw(st.lists(st.booleans(), min_size=r * c, max_size=r * c)),
                        dtype=bool).reshape(r, c) for r, c in zip(levels, levels[1:])]
     return digraph.GradedDigraph(levels, blocks)
+
+
+# each --from command line and the answer it gives
+FROM_KEYS = {("hasse",): ("digraph", "text"), ("hasse", "--format", "json"): ("digraph", "json"),
+             ("zeta",): ("zeta", "text"), ("zeta", "--format", "json"): ("zeta", "json"),
+             ("dot",): ("digraph", "dot"), ("paths",): ("paths", None),
+             ("check-ferrers",): ("check-ferrers", None), ("check-dim2",): ("check-dim2", None)}
+
+
+def cli_output(argv) -> tuple[str, int]:
+    """Stdout and exit status of ``cobweb ARGV`` in this process, which writes no stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = cli.main(argv)
+    assert err.getvalue() == ""
+    return out.getvalue(), status
+
+
+@settings(max_examples=100, deadline=None)
+@given(graded_digraphs(), st.integers(0, 35), st.integers(0, 35))
+@example(digraph.GradedDigraph((3,), ()), 0, 2)
+@example(digraph.GradedDigraph((1,), ()), 0, 0)
+@example(build_cobweb([2, 3, 1]), 0, 5)
+@example(NOT_A_COBWEB, 1, 3)
+def test_from_answers_match_the_matrix_path(tmp_path_factory, d, x, y):
+    """Complete files are answered from their sizes, the rest through their matrices: the
+    bytes and exit status are the matrix path's either way."""
+    x, y = 1 + x % d.n_vertices, 1 + y % d.n_vertices
+    path = tmp_path_factory.getbasetemp() / "from-answers.json"
+    write_json(path, {"levels": list(d.levels), "arcs": [b.astype(int).tolist() for b in d.blocks]})
+    oracle = matrix_answers(d, x, y)
+    assert set(FROM_KEYS.values()) == set(oracle)
+    for argv, key in FROM_KEYS.items():
+        argv = [*argv, "--x", str(x), "--y", str(y)] if key[0] == "paths" else list(argv)
+        assert cli_output([*argv, "--from", str(path)]) == oracle[key], argv
+
+
+@pytest.mark.parametrize("piece_bytes", [1, 100, fseq.PIECE_BYTES])
+@pytest.mark.parametrize("fmt", ["json", "text", "dot"])
+def test_fibtree_writes_the_matrix_writers_bytes(capsys, monkeypatch, fmt, piece_bytes):
+    monkeypatch.setattr(fseq, "PIECE_BYTES", piece_bytes)
+    for n in range(1, 13):
+        t = cobweb.fibonacci_tree(n)
+        expected = {"json": lambda: "".join(digraph.digraph_to_json(t)),
+                    "text": lambda: grid_oracle(digraph.global_adjacency(t), "text"),
+                    "dot": lambda: digraph.to_dot(t)}[fmt]()
+        assert run(capsys, "fibtree", "--levels", str(n), "--format", fmt) == (0, expected, ""), n
+
+
+NOT_ROWS = "bad digraph JSON: arc block {} is not a list of 0/1 rows"
+
+
+@pytest.mark.parametrize("levels, arcs, message", [
+    ([1, 2], [[[True, 1]]], NOT_ROWS.format(0)),
+    ([1, 2], [[[1, False]]], NOT_ROWS.format(0)),
+    ([1, 2], [[[1.0, 1]]], NOT_ROWS.format(0)),
+    ([1, 2], [[[1, 2]]], NOT_ROWS.format(0)),
+    ([1, 2], [[["1", 1]]], NOT_ROWS.format(0)),
+    ([1, 2, 1], [[[1, 1]], [[1], [1.0]]], NOT_ROWS.format(1)),
+    ([1, 2], [[[1, 1]], [[2]]], NOT_ROWS.format(1)),  # before the count of blocks
+    ([2, 2], [[[1, 1], [1]]], "bad digraph JSON: arc block 0 has rows of unequal length"),
+    ([2, 2], [[[1, 1], [2]]], NOT_ROWS.format(0)),  # before the row lengths
+    ([1, 2], [5], NOT_ROWS.format(0)),
+    ([1, 2], ["11"], NOT_ROWS.format(0)),
+    ([1, 2], [[5]], NOT_ROWS.format(0)),
+    ([1, 2], 5, "bad digraph JSON: 'int' object is not iterable"),
+    ([1, 2], None, "bad digraph JSON: 'arcs'"),
+    ([1, 2], [], "expected 1 arc blocks for 2 levels, got 0"),
+    ([1], [[]], "expected 0 arc blocks for 1 levels, got 1"),
+    ([1, 2], [[[1, 1]], [[1]]], "expected 1 arc blocks for 2 levels, got 2"),
+    ([1, 2], [[[1, 1, 1]]], "arc block 0 has shape (1, 3), expected (1, 2)"),
+    ([1, 2], [[]], "arc block 0 has shape (0, 0), expected (1, 2)"),
+    ([1, 2], [[[]]], "arc block 0 has shape (1, 0), expected (1, 2)"),
+    ([1, 2, 2], [[[1, 1]], [[1, 1]]], "arc block 1 has shape (1, 2), expected (2, 2)"),
+])
+def test_digraph_json_messages(capsys, tmp_path, levels, arcs, message):
+    payload = {"levels": levels} if arcs is None else {"levels": levels, "arcs": arcs}
+    path = write_json(tmp_path / "bad.json", payload)
+    for command in ("zeta", "dot", "check-ferrers", "check-dim2"):  # one reader for every route
+        assert run(capsys, command, "--from", path) == (1, "", f"error: {message}\n"), command
+    with pytest.raises(ValueError) as excinfo:
+        digraph.digraph_from_json(payload)
+    assert str(excinfo.value) == message
 
 
 @settings(max_examples=100, deadline=None)
@@ -867,6 +1030,6 @@ def test_rabbit_tree_json_holds_far_less_than_its_output():
     finally:
         tracemalloc.stop()
     assert status == 0
-    # the tree and its arc blocks (6.4 MB of bools) and a few pieces of about fseq.PIECE_BYTES
-    # (1 MiB), not the 73.5 MB of output or its nested int lists
+    # the tree's child counts and a few pieces of about fseq.PIECE_BYTES (1 MiB), not the
+    # 73.5 MB of output or its nested int lists
     assert peak < 32 * 2**20
