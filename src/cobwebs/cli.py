@@ -13,8 +13,7 @@ paths, check-ferrers, check-dim2) share one handler.  ``_resolve`` reads
 the source once and picks an answer table.  A complete cobweb is
 answered from its level sizes by ``_FROM_SIZES``, in closed form through
 ``fseq``, with no numpy, no matrix and no closure: --seq gives those
-sizes, and so does a --from file whose every arc entry is a one
-(``_FROM_COBWEB_FILE``, which writes its digraph JSON in pieces).  Any
+sizes, and so does a --from file whose every arc entry is a one.  Any
 other --from file gives a ``GradedDigraph``, which ``_FROM_DIGRAPH``
 answers through its matrices; check-dim2 is the exception.  It checks
 the level-major realizer (``cobweb.realizer``), whose two orders
@@ -26,8 +25,8 @@ file with a missing arc fails it (``_MISSING_ARC``) with no digraph
 built, in one pass over the file's rows.  ``fibtree`` writes the rabbit
 tree from its generation rule (``fseq._tree_pieces``), without numpy
 too.  Every table writes the same bytes for the same digraph, in pieces,
-through ``fseq``'s writers of the grid and digraph JSON layouts, which
-``boolmat.to_text`` renders rows for on the matrix path.
+through ``fseq``'s writers, from the level sizes and one row writer per
+arc block, which on the matrix path is ``boolmat.to_text``.
 
 A --from file is read and checked by ``fseq``'s reader, with no numpy:
 its level sizes first, then each arc row by one C-level test of its
@@ -55,7 +54,10 @@ The environment variable COBWEB_MAX_VERTICES (a positive integer, default
 10000) caps the size of any constructed digraph.  For --seq and
 ``fibtree`` the cap is checked on the level sizes before any output or
 arc block exists; for --from, on the file's level sizes before any arc
-is read.
+is read.  The cap bounds vertices, not output bytes: ``build``'s worst
+legal input under the default cap is ``--seq constant:5000 --levels 2``,
+two complete levels joined by 25 M arcs, whose 275 MB of digraph JSON is
+written in pieces in about 20 MB.
 """
 
 from __future__ import annotations
@@ -72,15 +74,14 @@ import cobwebs
 from .fseq import (
     GRID_FORMS,
     FSequence,
+    _cobweb_pieces,
+    _hasse_grid,
     _json_arcs,
     _json_levels,
     _tree_pieces,
-    cobweb_arcs,
     cobweb_grid,
-    cobweb_json,
     cobweb_path_count,
     cobweb_sizes,
-    dot_text,
 )
 
 DEFAULT_MAX_VERTICES = 10000
@@ -148,7 +149,7 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, object]:
         levels = _check_size(_json_levels(data))  # before any arc is read
         arcs, complete = _json_arcs(data, levels)
         if complete:
-            return _FROM_COBWEB_FILE, levels
+            return _FROM_SIZES, levels
         if (args.answer, args.format) in _MISSING_ARC:
             return _MISSING_ARC, levels
         return _FROM_DIGRAPH, cobwebs.digraph.GradedDigraph(levels, tuple(arcs))
@@ -224,7 +225,7 @@ def _check_ferrers(d: cobwebs.digraph.GradedDigraph) -> tuple[str, int]:
 _FROM_DIGRAPH = {
     ("digraph", "json"): lambda d, a: (cobwebs.digraph.digraph_to_json(d), 0),
     ("digraph", "text"): lambda d, a: (
-        _grid_pieces(cobwebs.digraph.global_adjacency(d), "text"), 0),
+        _hasse_grid(d.levels, [partial(cobwebs.boolmat.to_text, b) for b in d.blocks]), 0),
     ("digraph", "dot"): lambda d, a: (cobwebs.digraph.to_dot(d), 0),
     ("zeta", "text"): lambda d, a: (
         _grid_pieces(cobwebs.digraph.transitive_closure(d).leq, "text"), 0),
@@ -245,21 +246,15 @@ _MISSING_ARC = {
 # Its blocks are all ones and its strict order's rows nest level by level, so
 # both are Ferrers; its level-major realizer is exact (``cobweb.realizer``)
 _FROM_SIZES = {
-    # joined whole, so that a cobweb too large for memory fails before any of it is written
-    ("digraph", "json"): lambda s, a: ("".join(cobweb_json(s)), 0),
-    ("digraph", "text"): lambda s, a: (cobweb_grid(s, "hasse", "text"), 0),
-    ("digraph", "dot"): lambda s, a: (dot_text(s, cobweb_arcs(s)), 0),
-    ("zeta", "text"): lambda s, a: (cobweb_grid(s, "zeta", "text"), 0),
-    ("zeta", "json"): lambda s, a: (cobweb_grid(s, "zeta", "json"), 0),
+    ("digraph", "json"): lambda s, a: (_cobweb_pieces(s, "json"), 0),
+    ("digraph", "text"): lambda s, a: (_cobweb_pieces(s, "text"), 0),
+    ("digraph", "dot"): lambda s, a: (_cobweb_pieces(s, "dot"), 0),
+    ("zeta", "text"): lambda s, a: (cobweb_grid(s, "text"), 0),
+    ("zeta", "json"): lambda s, a: (cobweb_grid(s, "json"), 0),
     ("paths", None): lambda s, a: (f"{cobweb_path_count(s, a.x, a.y)}\n", 0),
     ("check-ferrers", None): lambda s, a: _ferrers_report((), True),
     ("check-dim2", None): lambda s, a: _dim2_report(True),
 }
-
-
-# a complete --from file, answered from its level sizes as --seq is; its digraph JSON is
-# about as large as the file just read, so it is written in pieces, not joined
-_FROM_COBWEB_FILE = {**_FROM_SIZES, ("digraph", "json"): lambda s, a: (cobweb_json(s), 0)}
 
 
 # -- subcommand handlers: each returns (text or its pieces, exit status) -----

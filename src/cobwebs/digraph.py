@@ -43,6 +43,7 @@ from .boolmat import (
 )
 from . import boolmat
 from .fseq import (
+    _arcs,
     _check_blocks,
     _digraph_json,
     _json_arcs,
@@ -98,11 +99,9 @@ class GradedDigraph:
         return locate(self.levels, v)
 
     def arcs(self) -> Iterator[tuple[int, int]]:
-        """All arcs as global 1-based (source, target) pairs."""
-        offsets = self.level_offsets
-        for k, b in enumerate(self.blocks):
-            for i, j in zip(*np.nonzero(b)):
-                yield offsets[k] + int(i) + 1, offsets[k + 1] + int(j) + 1
+        """All arcs as global 1-based (source, target) pairs, row by row (``fseq._arcs``)."""
+        return _arcs(((np.flatnonzero(row) + (first + 1)).tolist() for row in b)
+                     for b, first in zip(self.blocks, self.level_offsets[1:]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,21 +18,21 @@ Explicit sizes are checked however the sequence is built, through
 Values beyond the signed 64-bit range are reported as overflow rather
 than produced.
 
-The module also writes what the CLI answers about a complete cobweb from
-its level sizes alone, without numpy, without a matrix and without a
-closure.  The cobweb is the natural join of complete di-bicliques, so
-its Hasse grid has one repeated row per level, its zeta grid is the
-staircase (zeros within a vertex's own level, ones on every later level)
-plus the diagonal, its arcs are all pairs of consecutive levels, and a
-vertex of level i reaches one of level j > i by prod F_t Hasse paths
-over the levels strictly between.  ``cobweb_grid``, ``cobweb_json``,
-``cobweb_arcs`` and ``cobweb_path_count`` write those answers byte for
-byte as the matrix path does, and ``dot_text`` is the one DOT writer for
-every graded digraph.  The text-grid, JSON-grid and digraph JSON layouts
-are spelled only here: ``_ListForm.pieces`` writes every list of rows
-from row bands, which ``_rows`` fills for a cobweb and ``boolmat.to_text``
-for any matrix, and ``_digraph_json`` is the digraph JSON of both.  All
-come in pieces of about ``PIECE_BYTES``.
+The module also writes what the CLI answers about a graded digraph, with
+no numpy.  To every writer here a graded digraph is its level sizes plus
+one row writer per arc block, ``rows(form, start, stop)``: ``_rows`` for a
+complete cobweb (``_cobweb_pieces``), ``_rows_each`` for the rabbit tree
+(``_tree_pieces``) and ``boolmat.to_text`` for a matrix.  From them ``_digraph_json`` writes
+the digraph JSON and ``_hasse_grid`` the Hasse text grid, and ``_arcs``
+walks the arcs from each block's per-row heads for ``dot_text``, the one
+DOT writer.  A complete cobweb's zeta grid is the staircase (zeros within
+a vertex's own level, ones on every later level) plus the diagonal, and a
+vertex of level i reaches one of level j > i by prod F_t Hasse paths over
+the levels strictly between: ``cobweb_grid`` and ``cobweb_path_count``
+write those answers from the level sizes, byte for byte as the matrix
+path does.  The text-grid, JSON-grid and digraph JSON layouts are spelled
+only here: ``_ListForm.pieces`` writes every list of rows from row bands,
+in pieces of about ``PIECE_BYTES``.
 
 Two more things a graded digraph needs come without numpy.  Digraph JSON
 is read and checked here (``_json_levels``, then ``_json_arcs``, one
@@ -51,7 +51,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, islice, product, repeat
+from itertools import accumulate, chain, count, islice, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 MAX_LEVEL_SIZE = 2**63 - 1
@@ -244,7 +244,7 @@ def locate(levels: Sequence[int], v: int) -> tuple[int, int]:
     raise ValueError(f"vertex {v} out of range 1..{sum(levels)}")
 
 
-# -- a complete cobweb, answered from its level sizes ------------------------
+# -- writers: a graded digraph from its arc blocks, a cobweb from its sizes --
 
 PIECE_BYTES = 1 << 20  # grids, digraph JSON and drawings come in pieces of about this size
 
@@ -307,21 +307,36 @@ def _rows(form: _ListForm, start: int, stop: int, runs: Sequence[tuple[bytes, in
     return text.decode("ascii")
 
 
-def cobweb_grid(sizes: Sequence[int], matrix: str, fmt: str) -> Iterator[str]:
-    """The Hasse (``matrix="hasse"``) or zeta grid of the complete cobweb, in pieces.
+def cobweb_grid(sizes: Sequence[int], fmt: str) -> Iterator[str]:
+    """The zeta grid of the complete cobweb, in pieces.
 
-    ``fmt`` names the layout in ``GRID_FORMS``.  Every row of a level
-    reads the same: the Hasse row has ones on the next level only, the
-    zeta row ones on every later level, plus its own diagonal one.  Each
+    ``fmt`` names the layout in ``GRID_FORMS``.  Every row of a level reads
+    the same: ones on every later level, plus its own diagonal one.  Each
     level is one band of ``GRID_FORMS[fmt].pieces``.
     """
-    n, zeta, bands = sum(sizes), matrix == "zeta", []
-    for k, (first, size) in enumerate(zip(accumulate(sizes, initial=0), sizes)):
-        last = first + size
-        onto = n - last if zeta else sum(sizes[k + 1 : k + 2])
-        runs = [(b"0", last), (b"1", onto), (b"0", n - last - onto)]
-        bands.append((size, partial(_rows, runs=runs, first=first if zeta else None)))
+    n, bands = sum(sizes), []
+    for first, last in zip(accumulate(sizes, initial=0), accumulate(sizes)):
+        runs = [(b"0", last), (b"1", n - last)]
+        bands.append((last - first, partial(_rows, runs=runs, first=first)))
     return GRID_FORMS[fmt].pieces(n, bands)
+
+
+def _padded(form: _ListForm, start: int, stop: int, rows: Callable, before: int,
+            after: int) -> str:
+    """``rows(form, start, stop)``, each row with ``before`` and ``after`` zero entries added."""
+    pre, post = form.entry[: form.at], form.entry[form.at + 1 :]
+    return rows(form._replace(head=form.head + (pre + b"0" + post) * before,
+                              tail=(post + pre + b"0") * after + form.tail), start, stop)
+
+
+def _hasse_grid(levels: Sequence[int], blocks: Sequence[Callable]) -> Iterator[str]:
+    """The Hasse text grid of a graded digraph in pieces: level k's rows are ``blocks[k]``'s
+    (as in ``_digraph_json``) padded onto level k + 1's columns, the last level's zeros."""
+    n, ends = sum(levels), list(accumulate(levels))
+    bands = [(levels[k], partial(_padded, rows=rows, before=ends[k], after=n - ends[k + 1]))
+             for k, rows in enumerate(blocks)]
+    bands.append((levels[-1], partial(_rows, runs=[(b"0", n)])))
+    return GRID_FORMS["text"].pieces(n, bands)
 
 
 def _digraph_json(levels: Sequence[int], blocks: Sequence[Callable]) -> Iterator[str]:
@@ -339,17 +354,22 @@ def _digraph_json(levels: Sequence[int], blocks: Sequence[Callable]) -> Iterator
     yield '  "levels": [\n' + ",\n".join(f"    {s}" for s in levels) + "\n  ]\n}\n"
 
 
-def cobweb_json(sizes: Sequence[int]) -> Iterator[str]:
-    """``digraph.digraph_to_json`` of the complete cobweb, in pieces: every arc block is ones."""
-    return _digraph_json(sizes, [partial(_rows, runs=[(b"1", c)]) for c in sizes[1:]])
+def _cobweb_pieces(sizes: Sequence[int], fmt: str) -> Iterator[str]:
+    """The complete cobweb's digraph JSON, Hasse text grid or DOT: each row is all ones."""
+    if fmt == "dot":  # level k + 1 starts after vertex ``end``; one tuple makes each int once
+        return dot_text(sizes, _arcs(repeat(tuple(range(end + 1, end + c + 1)), r)
+                                     for r, c, end in zip(sizes, sizes[1:], accumulate(sizes))))
+    writers = [partial(_rows, runs=[(b"1", c)]) for c in sizes[1:]]
+    return (_digraph_json if fmt == "json" else _hasse_grid)(sizes, writers)
 
 
-def cobweb_arcs(sizes: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """The arcs of the complete cobweb in ``GradedDigraph.arcs`` order: 1-based (u, v)."""
-    first = 1
-    for rows, cols in zip(sizes, sizes[1:]):
-        yield from product(range(first, first + rows), range(first + rows, first + rows + cols))
-        first += rows
+def _arcs(heads: Iterable[Iterable[Iterable[int]]]) -> Iterator[tuple[int, int]]:
+    """The 1-based arcs (u, v) of a graded digraph, row by row; the walk runs in C.
+
+    ``heads[k]`` holds the global 1-based heads of each row of arc block k; the
+    rows of all blocks are the vertices 1, 2, ... in turn.
+    """
+    return chain.from_iterable(map(zip, map(repeat, count(1)), chain.from_iterable(heads)))
 
 
 def cobweb_path_count(sizes: Sequence[int], x: int, y: int) -> int:
@@ -454,26 +474,13 @@ def _rabbit_tree(n: int) -> list[list[int]]:
     return blocks
 
 
-def _child_runs(counts: Sequence[int], shift: int, width: int) -> list[list[tuple[bytes, int]]]:
-    """Each row of a tree block as ``_rows`` runs, ``width`` entries: ones on its children.
-
-    The block's columns start ``shift`` entries into the row.
-    """
-    return [[(b"0", shift + first), (b"1", c), (b"0", width - shift - first - c)]
-            for first, c in zip(accumulate(counts, initial=0), counts)]
-
-
-def _rows_each(form: _ListForm, start: int, stop: int, runs: Sequence) -> str:
-    """Rows ``start`` to ``stop - 1`` of a band, row r of ``runs[r]``, joined by ``form.sep``."""
-    return form.sep.decode("ascii").join([_rows(form, 0, 1, r) for r in runs[start:stop]])
-
-
-def _tree_arcs(blocks: Sequence[Sequence[int]], offsets: Sequence[int]) -> Iterator[tuple]:
-    """The 1-based arcs of the rabbit tree, parent by parent: each to its own children."""
-    for k, counts in enumerate(blocks):
-        children = iter(range(offsets[k + 1] + 1, offsets[k + 2] + 1))
-        for parent, c in enumerate(counts, offsets[k] + 1):
-            yield from zip(repeat(parent, c), children)
+def _rows_each(form: _ListForm, start: int, stop: int, children: Sequence[tuple[int, int]],
+               width: int) -> str:
+    """Rows ``start`` to ``stop - 1`` of a tree block of ``width`` columns, joined by
+    ``form.sep``: ``children[r]`` is ``(first, count)``, row r's run of ones."""
+    return form.sep.decode("ascii").join(
+        [_rows(form, 0, 1, [(b"0", first), (b"1", c), (b"0", width - first - c)])
+         for first, c in children[start:stop]])
 
 
 def _tree_pieces(n: int, fmt: str) -> Iterator[str]:
@@ -485,13 +492,10 @@ def _tree_pieces(n: int, fmt: str) -> Iterator[str]:
     """
     blocks = _rabbit_tree(n)
     levels = [1, *map(sum, blocks)]
-    offsets = list(accumulate(levels, initial=0))
-    total = offsets[-1]
-    if fmt == "json":
-        return _digraph_json(levels, [partial(_rows_each, runs=_child_runs(c, 0, sum(c)))
-                                      for c in blocks])
-    if fmt == "text":  # one band per level; the last level's rabbits have no children
-        bands = [(len(c), partial(_rows_each, runs=_child_runs(c, offsets[k + 1], total)))
-                 for k, c in enumerate([*blocks, [0] * levels[-1]])]
-        return GRID_FORMS["text"].pieces(total, bands)
-    return dot_text(levels, _tree_arcs(blocks, offsets))
+    children = [list(zip(accumulate(c, initial=0), c)) for c in blocks]  # grid rows and heads
+    if fmt == "dot":  # level k + 1 starts after vertex ``end``
+        return dot_text(levels, _arcs([range(end + first + 1, end + first + c + 1)
+                                       for first, c in ch]
+                                      for ch, end in zip(children, accumulate(levels))))
+    writers = [partial(_rows_each, children=ch, width=w) for ch, w in zip(children, levels[1:])]
+    return (_digraph_json if fmt == "json" else _hasse_grid)(levels, writers)

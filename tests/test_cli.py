@@ -368,12 +368,14 @@ def test_closed_stdout_exits_1_without_a_traceback():
     assert b"Traceback" not in err and b"Exception ignored" not in err
 
 
-def test_out_of_memory_exits_1_without_a_traceback():
-    # numpy asks for the 100,000 x 100,000 block at once; a 1 GB address space refuses it
+def test_out_of_memory_exits_1_without_a_traceback(tmp_path):
+    # one missing arc sends the file through its matrices: numpy asks for the 40,001 x 40,001
+    # zeta matrix (1.49 GiB) at once, and a 1 GiB address space refuses it
+    path = write_json(tmp_path / "wide.json", {"levels": [1, 40000], "arcs": [[[1] * 39999 + [0]]]})
     limit = 1 << 30
     proc = subprocess.run(
-        [sys.executable, "-m", "cobwebs.cli", "build", "--seq", "constant:100000", "--levels", "2"],
-        env=cli_env(COBWEB_MAX_VERTICES="200000", OPENBLAS_NUM_THREADS="1"),
+        [sys.executable, "-m", "cobwebs.cli", "zeta", "--from", path],
+        env=cli_env(COBWEB_MAX_VERTICES="50000", OPENBLAS_NUM_THREADS="1"),
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
         capture_output=True, text=True, timeout=60,
     )
@@ -641,9 +643,7 @@ def test_ferrers_and_relation_subcommands_load_only_their_module(tmp_path, argv,
 
 
 # bench/spans.py traces the CLI by wrapping these functions on the digraph module
-@pytest.mark.parametrize("fmt, name", [
-    ("text", "global_adjacency"), ("dot", "to_dot"), ("json", "digraph_to_json"),
-])
+@pytest.mark.parametrize("fmt, name", [("dot", "to_dot"), ("json", "digraph_to_json")])
 def test_digraph_writers_call_the_digraph_module_as_it_is_at_call_time(
         capsys, monkeypatch, tmp_path, fmt, name):
     calls = []
@@ -655,7 +655,7 @@ def test_digraph_writers_call_the_digraph_module_as_it_is_at_call_time(
 
     path = write_digraph(tmp_path / "tree.json", cobweb.fibonacci_tree(4))  # not a cobweb
     monkeypatch.setattr(digraph, name, traced)
-    argv = {"text": ["hasse"], "dot": ["dot"], "json": ["hasse", "--format", "json"]}[fmt]
+    argv = {"dot": ["dot"], "json": ["hasse", "--format", "json"]}[fmt]
     status, out, _ = run(capsys, *argv, "--from", path)
     assert status == 0 and out and calls == [(1, 1, 2, 3)]
 
@@ -665,6 +665,7 @@ def test_digraph_writers_call_the_digraph_module_as_it_is_at_call_time(
     pytest.param(["zeta", "--format", "text"], [(7, 7)], id="text"),
     pytest.param(["zeta", "--format", "json"], [(7, 7)], id="json"),
     pytest.param(["hasse", "--format", "json"], [(1, 1), (1, 2), (2, 3)], id="digraph-json"),
+    pytest.param(["hasse"], [(1, 1), (1, 2), (2, 3)], id="digraph-text"),
 ])
 def test_from_grids_call_to_text_as_it_is_at_call_time(
         capsys, monkeypatch, tmp_path, argv, shapes):
@@ -899,6 +900,13 @@ def graded_digraphs(draw):
     return digraph.GradedDigraph(levels, blocks)
 
 
+@settings(max_examples=100, deadline=None)
+@given(graded_digraphs())
+def test_arcs_are_the_adjacency_entries_in_row_major_order(d):
+    rows, cols = np.nonzero(digraph.global_adjacency(d))
+    assert list(d.arcs()) == list(zip((rows + 1).tolist(), (cols + 1).tolist()))
+
+
 # each --from command line and the answer it gives
 FROM_KEYS = {("hasse",): ("digraph", "text"), ("hasse", "--format", "json"): ("digraph", "json"),
              ("zeta",): ("zeta", "text"), ("zeta", "--format", "json"): ("zeta", "json"),
@@ -989,26 +997,32 @@ def test_from_digraph_json_matches_json_dumps_at_every_piece_size(d):
     oracle = json.dumps({"arcs": [b.astype(int).tolist() for b in d.blocks],
                          "levels": list(d.levels)}, indent=2, sort_keys=True) + "\n"
     source = digraph.digraph_from_json(json.loads(oracle))  # as --from reads the file
+    grid = grid_oracle(digraph.global_adjacency(d), "text")
     for piece_bytes in (1, 100, fseq.PIECE_BYTES):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(fseq, "PIECE_BYTES", piece_bytes)
             pieces, status = cli._FROM_DIGRAPH["digraph", "json"](source, None)
             pieces = list(pieces)
+            lines, grid_status = cli._FROM_DIGRAPH["digraph", "text"](source, None)
+            lines = list(lines)
         assert status == 0 and "".join(pieces) == oracle, piece_bytes
+        assert grid_status == 0 and "".join(lines) == grid, piece_bytes
         if piece_bytes == 1:  # an arc block's row opens with 6 spaces and a bracket
             assert all(piece.count("      [\n") <= 1 for piece in pieces)
+            assert len(lines) == d.n_vertices  # a grid row per piece
 
 
 @pytest.mark.parametrize("piece_bytes", [1, 40])
 def test_grid_pieces_split_level_bands_without_changing_bytes(monkeypatch, piece_bytes):
     monkeypatch.setattr(fseq, "PIECE_BYTES", piece_bytes)  # under one row: a row per piece
-    assert len(list(fseq.cobweb_grid([6, 1, 6], "zeta", "json"))) == 13
+    assert len(list(fseq.cobweb_grid([6, 1, 6], "json"))) == 13
+    assert len(list(cli._FROM_SIZES["digraph", "text"]([6, 1, 6], None)[0])) == 13
     for sizes in ([1], [3], [1, 2, 3, 4, 5, 1], [6, 1, 6], [2, 5, 5, 2]):
         answers_agree(sizes, 1, sum(sizes))
 
 
-@pytest.mark.parametrize("argv", [["zeta"], ["zeta", "--format", "json"], ["hasse"], ["dot"]],
-                         ids=" ".join)
+@pytest.mark.parametrize("argv", [["zeta"], ["zeta", "--format", "json"], ["hasse"], ["dot"],
+                                  ["build"], ["hasse", "--format", "json"]], ids=" ".join)
 def test_cap_grids_hold_far_less_than_n_squared_bytes(argv):
     n = 9870  # vertices of --seq naturals --levels 140
     tracemalloc.start()
